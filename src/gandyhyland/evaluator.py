@@ -46,17 +46,20 @@ from .functionals import (
     gamma_flag,
     indexed_value,
 )
-from .sequences import FinSeq, Point, code, concat, constant_point, decode, extend, pad, take
+from .sequences import FinSeq, Point, concat, constant_point, decode, extend, pad, take
 
 DEFAULT_SESSION_FUEL = 1_000_000
+
+# (evaluator kind, sequence items, depth)
+MemoKey = tuple[str, tuple[int, ...], int]
 
 
 @dataclass
 class EvalSession:
     """Shared state for one functional's evaluations.
 
-    The memo maps (evaluator kind, sequence code, depth) to a value and is
-    write-once; computed gamma values live in their own table together
+    The memo maps (evaluator kind, sequence items, depth) to a value and
+    is write-once; computed gamma values live in their own table together
     with the depth at which they stabilized. A session serves exactly one
     functional: mixing two would silently cross-contaminate the memo, so
     the first functional seen claims the session.
@@ -66,10 +69,10 @@ class EvalSession:
     window: int = 4
     nmax: int = 64
     memo_enabled: bool = True
-    _values: dict[tuple[str, int, int], int] = field(default_factory=dict, repr=False)
-    _gamma: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-    _gamma_checked: set[int] = field(default_factory=set, repr=False)
-    _bound_checked: set[tuple[int, int]] = field(default_factory=set, repr=False)
+    _values: dict[MemoKey, int] = field(default_factory=dict, repr=False)
+    _gamma: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict, repr=False)
+    _gamma_checked: set[tuple[int, ...]] = field(default_factory=set, repr=False)
+    _bound_checked: set[tuple[tuple[int, ...], int]] = field(default_factory=set, repr=False)
     _owner: Functional | None = field(default=None, repr=False)
 
     def child(self) -> EvalSession:
@@ -89,12 +92,12 @@ class EvalSession:
                 f"session already serves {self._owner.name}, refused {y.name}"
             )
 
-    def memo_get(self, key: tuple[str, int, int]) -> int | None:
+    def memo_get(self, key: MemoKey) -> int | None:
         if not self.memo_enabled:
             return None
         return self._values.get(key)
 
-    def memo_put(self, key: tuple[str, int, int], value: int) -> None:
+    def memo_put(self, key: MemoKey, value: int) -> None:
         if not self.memo_enabled:
             return
         prev = self._values.setdefault(key, value)
@@ -102,7 +105,7 @@ class EvalSession:
             raise InvariantViolation(f"memo overwrite at {key}: {prev} then {value}")
 
     def gamma_depth(self, s: FinSeq) -> int:
-        return self._gamma[code(s)][0]
+        return self._gamma[s.items][0]
 
 
 def make_session(
@@ -134,7 +137,7 @@ def _depth_eval(
     padded with base_pad.
     """
     session.claim(y)
-    key = (kind, code(s), m)
+    key = (kind, s.items, m)
     cached = session.memo_get(key)
     if cached is not None:
         return cached
@@ -186,7 +189,7 @@ def g_eval(
     and BoundExceeded is raised on a violation.
     """
     session.claim(y)
-    key = ("g", code(s), n)
+    key = ("g", s.items, n)
     cached = session.memo_get(key)
     checked = bound is not None and (key[1], n) in session._bound_checked
     if cached is not None and (bound is None or checked):
@@ -285,13 +288,12 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
     session. Raises GhEquationViolated if the equation fails.
     """
     session.claim(y)
-    c = code(s)
-    entry = session._gamma.get(c)
+    entry = session._gamma.get(s.items)
     if entry is None:
         entry = stabilize(y, s, session)
-        session._gamma[c] = entry
-    if c not in session._gamma_checked:
-        session._gamma_checked.add(c)
+        session._gamma[s.items] = entry
+    if s.items not in session._gamma_checked:
+        session._gamma_checked.add(s.items)
         if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
             raise GhEquationViolated(
                 f"{y.name} at {list(s.items)}: stable value {entry[1]} fails the equation"
@@ -344,10 +346,13 @@ def ghs_witness(
     Candidates are bounded (entry cap, tail cap); StabilizationFailed if
     no K at or below nmax passes.
     """
+    candidates: dict[int, list[FinSeq]] = {}
     for k0 in range(session.nmax + 1):
         ok = True
         for m in range(k0, k0 + session.window + 1):
-            for s in _ghs_candidates(alpha, m, value_cap, tail_cap):
+            if m not in candidates:
+                candidates[m] = _ghs_candidates(alpha, m, value_cap, tail_cap)
+            for s in candidates[m]:
                 gv = gamma_eval(y, s, session)
                 if any(
                     h_eval(y, s, n, session) != gv

@@ -11,6 +11,10 @@ naturals (code/decode) built from the Cantor pairing function. The coding
 is strictly monotone along prefix extension: code(s + <x>) > code(s). That
 monotonicity is what makes code-indexed scans over associates terminate as
 soon as a deciding prefix has been passed.
+
+Codes serve associate indexing only (and the laws that check the coding
+itself). A code's bit length roughly doubles with each entry, so nothing
+keys a table by code: the evaluator's memo keys are FinSeq.items tuples.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ from typing import Callable, Iterable, Iterator
 from .errors import IndexOutOfRange
 
 
+def _check_natural(x: object) -> None:
+    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+        raise ValueError(f"sequence entries must be naturals, got {x!r}")
+
+
 class FinSeq:
     """Immutable finite sequence of natural numbers."""
 
@@ -29,8 +38,7 @@ class FinSeq:
     def __init__(self, items: Iterable[int] = ()):
         data = tuple(items)
         for x in data:
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                raise ValueError(f"sequence entries must be naturals, got {x!r}")
+            _check_natural(x)
         self._items = data
 
     @property
@@ -134,8 +142,12 @@ def concat(s: FinSeq, t: FinSeq) -> FinSeq:
 
 
 def extend(s: FinSeq, v: int) -> FinSeq:
-    """s with one value appended; the workhorse of every tree walk here."""
-    return FinSeq(s.items + (v,))
+    """s with one value appended; the workhorse of every tree walk here.
+
+    Only the new entry is validated: s's own entries already were.
+    """
+    _check_natural(v)
+    return _from_trusted_tuple(s.items + (v,))
 
 
 def is_prefix(s: FinSeq, t: FinSeq) -> bool:

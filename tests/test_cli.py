@@ -174,6 +174,14 @@ def test_run_command_embeds_evaluation_errors():
     assert record.error["type"] == "FuelExhausted"
 
 
+def test_eval_gh_reaches_a_deep_probe():
+    # Evaluation cost follows the nodes forced, so a probe far past the
+    # point where sequence codes grow to megabits still certifies.
+    record = run_command("eval-gh", RunConfig(expr="f(40)+1", window=42, nmax=200))
+    assert record.error is None
+    assert record.output == {"value": 41, "depth": 40}
+
+
 def test_exit_codes():
     assert main(["eval-gh", "--fixture", "sum01"]) == 0
     assert main(["mu", "--seq", "", "--pad", "1", "--fuel", "300"]) == 3

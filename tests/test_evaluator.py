@@ -10,6 +10,7 @@ import pytest
 from gandyhyland import (
     EMPTY,
     BoundExceeded,
+    EvalSession,
     FinSeq,
     Fuel,
     FuelExhausted,
@@ -45,6 +46,7 @@ from gandyhyland import (
 from gandyhyland.cli.fixtures import (
     catalog_functionals,
     crafted_mu_points,
+    expr_functional,
     flag_associate,
     functional_fixture,
 )
@@ -329,10 +331,37 @@ def test_memo_is_observationally_transparent():
 
 def test_memo_is_write_once():
     session = make_session()
-    session.memo_put(("h", 5, 1), 3)
-    session.memo_put(("h", 5, 1), 3)
+    session.memo_put(("h", (5,), 1), 3)
+    session.memo_put(("h", (5,), 1), 3)
     with pytest.raises(InvariantViolation):
-        session.memo_put(("h", 5, 1), 4)
+        session.memo_put(("h", (5,), 1), 4)
+
+
+def _work(session: EvalSession) -> tuple[int, int]:
+    return session.fuel.budget - session.fuel.remaining, len(session._values)
+
+
+@pytest.mark.parametrize(
+    "expr, start, window, value, fuel, memo",
+    [
+        ("f(12)+1", (), 14, 13, 702, 702),
+        ("f(0)+f(16)*2", (1, 0), 18, 32767, 1050, 1050),
+        ("f(f(0))", (), 4, 0, 10, 10),
+    ],
+)
+def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, memo):
+    # Counts are deterministic: a change in the work done fails here,
+    # without the noise of a timing gate.
+    session = make_session(window=window)
+    assert gamma_eval(expr_functional(expr), FinSeq(start), session) == value
+    assert _work(session) == (fuel, memo)
+
+
+def test_ghs_witness_work_counts_are_frozen():
+    y = functional_from_associate(flag_associate("flag-gamma", 5))
+    session = make_session(fuel_steps=2_000_000, window=6)
+    assert modulus_from_ghs(y, constant_point(0, name="zeros"), session) == 6
+    assert _work(session) == (11978, 11978)
 
 
 def test_session_serves_one_functional():

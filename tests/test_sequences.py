@@ -30,6 +30,9 @@ def test_finseq_rejects_non_naturals():
         FinSeq((True,))
     with pytest.raises(ValueError):
         FinSeq(("2",))
+    for bad in (-1, True, "2"):
+        with pytest.raises(ValueError):
+            extend(FinSeq((1,)), bad)
 
 
 def test_finseq_indexing_and_bounds():
