@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from ..errors import (
-    ArityError,
     GandyHylandError,
     IoError,
     ParseError,
@@ -175,7 +174,10 @@ def read_trace(path: str) -> HerbrandWitness:
         raise IoError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != TRACE_SCHEMA:
         raise IoError(f"{path}: not a trace file")
-    return HerbrandWitness.from_dict(payload["witness"])
+    try:
+        return HerbrandWitness.from_dict(payload.get("witness"))
+    except IoError as exc:
+        raise IoError(f"{path}: {exc}") from None
 
 
 def _functional(cfg: RunConfig) -> Functional:
@@ -316,7 +318,7 @@ def run_command(cmd: str, cfg: RunConfig) -> ResultRecord:
     probes: dict = {}
     try:
         output, probes = _dispatch(cmd, cfg)
-    except (ParseError, ArityError):
+    except ParseError:
         raise
     except GandyHylandError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
@@ -411,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _config_from_args(args)
     try:
         record = run_command(args.cmd, cfg)
-    except (ParseError, ArityError) as exc:
+    except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

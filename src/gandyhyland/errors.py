@@ -62,15 +62,8 @@ class ParseError(GandyHylandError):
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
-class ArityError(GandyHylandError):
+class ArityError(ParseError):
     """A grammar head applied to the wrong number of arguments."""
-
-    def __init__(self, message: str, offset: int, text: str = ""):
-        self.offset = offset
-        self.line = 1 + text.count("\n", 0, offset)
-        last_nl = text.rfind("\n", 0, offset)
-        self.column = offset - last_nl
-        super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
 class IoError(GandyHylandError):

@@ -34,6 +34,7 @@ from .errors import (
     FuelExhausted,
     GhEquationViolated,
     InvariantViolation,
+    IoError,
     OutOfTableQuery,
     StabilizationFailed,
 )
@@ -125,16 +126,15 @@ def _depth_eval(
     m: int,
     session: EvalSession,
     kind: str,
-    base_pad: int,
-    tail_pad: int,
+    pad_value: int,
 ) -> int:
     """Shared body of the truncating approximations.
 
     Below the cutoff the argument point starts with s, then a zero, then
     positions s+1 .. s+m carry the values at the one-step extensions of s,
-    computed on demand; beyond that the point is constantly tail_pad. At
+    computed on demand; beyond that the point is constantly pad_value. At
     or past the cutoff the sequence is truncated to its first m values and
-    padded with base_pad.
+    padded with pad_value.
     """
     session.claim(y)
     key = (kind, s.items, m)
@@ -143,7 +143,7 @@ def _depth_eval(
         return cached
     session.fuel.spend(f"{kind}_eval({y.name})")
     if len(s) >= m:
-        value = y.apply(pad(take(s, m), base_pad))
+        value = y.apply(pad(take(s, m), pad_value))
     else:
         items = s.items
         k = len(items)
@@ -155,8 +155,8 @@ def _depth_eval(
                 return 0
             j = i - k
             if j <= m:
-                return _depth_eval(y, extend(s, j), m, session, kind, base_pad, tail_pad)
-            return tail_pad
+                return _depth_eval(y, extend(s, j), m, session, kind, pad_value)
+            return pad_value
 
         value = y.apply(Point(gen, name=f"{kind}-block {list(items)}@{m}"))
     session.memo_put(key, value)
@@ -165,12 +165,12 @@ def _depth_eval(
 
 def h_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """Zero-padded depth-M approximation."""
-    return _depth_eval(y, s, m, session, "h", 0, 0)
+    return _depth_eval(y, s, m, session, "h", 0)
 
 
 def h_hat_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """One-padded depth-M approximation; pads ones in both cases."""
-    return _depth_eval(y, s, m, session, "hhat", 1, 1)
+    return _depth_eval(y, s, m, session, "hhat", 1)
 
 
 def g_eval(
@@ -413,7 +413,32 @@ class HerbrandWitness:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "HerbrandWitness":
+    def from_dict(d: object) -> "HerbrandWitness":
+        """Inverse of as_dict; IoError if d does not have its shape."""
+        if not isinstance(d, dict) or not isinstance(d.get("probes"), dict):
+            raise IoError("malformed witness: expected an object whose probes map groups to rows")
+        for group, entries in d["probes"].items():
+            if not isinstance(entries, list) or not all(
+                isinstance(row, list)
+                and len(row) == 2
+                and isinstance(row[0], list)
+                and all(map(_is_natural, row[0]))
+                and _is_natural(row[1])
+                for row in entries
+            ):
+                raise IoError(
+                    f"malformed witness: probes.{group} rows must be "
+                    "[list of naturals, natural]"
+                )
+        for name in ("depth", "result"):
+            if not _is_natural(d.get(name)):
+                raise IoError(f"malformed witness: {name} must be a natural")
+        trajectory = d.get("trajectory")
+        if not isinstance(trajectory, list) or not all(
+            isinstance(step, list) and len(step) == 3 and all(map(_is_natural, step))
+            for step in trajectory
+        ):
+            raise IoError("malformed witness: trajectory rows must be three naturals")
         return HerbrandWitness(
             probes={
                 group: [(tuple(prefix), answer) for prefix, answer in entries]
@@ -421,8 +446,12 @@ class HerbrandWitness:
             },
             depth=d["depth"],
             result=d["result"],
-            trajectory=[(step[0], step[1], step[2]) for step in d["trajectory"]],
+            trajectory=[tuple(step) for step in trajectory],
         )
+
+
+def _is_natural(x: object) -> bool:
+    return type(x) is int and x >= 0
 
 
 class _Recorder:
@@ -498,32 +527,38 @@ def _stub_operation(
 ) -> Callable[[Point], int]:
     """Answer by longest recorded prefix matching the argument point.
 
-    Positions are read lazily, left to right, only while some strictly
-    longer candidate is still consistent, so a run that mirrors the traced
-    one forces exactly the positions the trace forced. A point matching no
-    recorded prefix raises OutOfTableQuery.
+    The entries are built once into a prefix trie: a node is [answer,
+    children], where answer is the last recorded answer for the prefix
+    spelled by the path to it (None if that prefix was not recorded) and
+    children maps the next value to the next node. A lookup walks the trie
+    along the point, remembering the deepest answer it has passed, and
+    reads position i only while the node at depth i has children, that is,
+    while some strictly longer recorded prefix still agrees with the point.
+    A run that mirrors the traced one therefore forces exactly the
+    positions the trace forced. A point matching no recorded prefix raises
+    OutOfTableQuery.
     """
+    root: list = [None, {}]
+    for prefix, answer in entries:
+        node = root
+        for v in prefix:
+            node = node[1].setdefault(v, [None, {}])
+        node[0] = answer
 
     def lookup(point: Point) -> int:
-        best: tuple[int, int] | None = None
-        candidates = list(entries)
+        best, children = root
         i = 0
-        while candidates:
-            remaining: list[tuple[tuple[int, ...], int]] = []
-            for prefix, answer in candidates:
-                if len(prefix) == i:
-                    if best is None or i >= best[0]:
-                        best = (i, answer)
-                else:
-                    remaining.append((prefix, answer))
-            if not remaining:
+        while children:
+            node = children.get(point.value_at(i))
+            if node is None:
                 break
-            v = point.value_at(i)
-            candidates = [(p, a) for p, a in remaining if p[i] == v]
+            if node[0] is not None:
+                best = node[0]
+            children = node[1]
             i += 1
         if best is None:
             raise OutOfTableQuery(f"no recorded {group} answer matches the argument")
-        return best[1]
+        return best
 
     return lookup
 

@@ -158,3 +158,19 @@ def bounded_points(h: Point, length: int) -> list[FinSeq]:
     """All sequences of the given length lying under h pointwise."""
     ranges = [range(h.value_at(i) + 1) for i in range(length)]
     return [FinSeq(items) for items in product(*ranges)]
+
+
+def brute_longest_prefix_answer(
+    entries: list[tuple[tuple[int, ...], int]], values: list[int]
+) -> int | None:
+    """Answer of the longest recorded prefix that values begins with.
+
+    Of two equal prefixes the later row wins; None when no recorded prefix
+    matches. values must be at least as long as the longest prefix.
+    """
+    best: tuple[int, int] | None = None
+    for prefix, answer in entries:
+        if list(prefix) == values[: len(prefix)]:
+            if best is None or len(prefix) >= best[0]:
+                best = (len(prefix), answer)
+    return None if best is None else best[1]

@@ -278,6 +278,30 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
     assert "error[IoError]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload.pop("witness"),
+        lambda payload: payload["witness"]["probes"].update(apply=[[5, 1]]),
+        lambda payload: payload["witness"].update(trajectory=[[0]]),
+        lambda payload: payload["witness"].update(probes=[]),
+        lambda payload: payload["witness"]["probes"].update(apply=[[0]]),
+    ],
+    ids=["no-witness", "scalar-prefix", "short-trajectory-row", "probes-list", "one-element-row"],
+)
+def test_replay_of_a_malformed_trace_is_an_io_error(tmp_path, capsys, edit):
+    path = tmp_path / "run.trace"
+    assert main(["trace", "--fixture", "sum01", "--seq", "0,2", "--trace", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["replay", "--seq", "0,2", "--trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error[IoError]" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_cheap_checks_are_deterministic():
     from gandyhyland.cli.checks import (
         check_gh_fixed_point,

@@ -6,6 +6,8 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gandyhyland import (
     EMPTY,
@@ -50,6 +52,7 @@ from gandyhyland.cli.fixtures import (
     flag_associate,
     functional_fixture,
 )
+from gandyhyland.evaluator import _stub_operation
 from oracles import (
     CERTIFIED_PROJ2_EMPTY_H1,
     GHS_FLAG3_AT_ONES,
@@ -64,6 +67,7 @@ from oracles import (
     STABILIZE_SUM01_EMPTY,
     ZERO_AT_20_EXT_WITNESS,
     brute_gamma,
+    brute_longest_prefix_answer,
 )
 
 S57 = FinSeq((5, 7))
@@ -267,6 +271,55 @@ def test_witness_survives_json():
     back = HerbrandWitness.from_dict(json.loads(json.dumps(w.as_dict())))
     assert back == w
     assert replay_check(back, FinSeq((1,)), make_session())
+
+
+def _stub_answer_and_reads(entries, values: list[int], tail: int):
+    """Ask the stub at values padded with tail; return (answer or None,
+    the set of positions it read)."""
+    reads: set[int] = set()
+
+    def gen(i: int) -> int:
+        reads.add(i)
+        return values[i] if i < len(values) else tail
+
+    try:
+        answer = _stub_operation(entries, "apply")(Point(gen, name="counting"))
+    except OutOfTableQuery:
+        answer = None
+    return answer, reads
+
+
+_PREFIXES = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple)
+
+
+@given(
+    entries=st.lists(st.tuples(_PREFIXES, st.integers(min_value=0, max_value=9)), max_size=8),
+    start=st.lists(st.integers(min_value=0, max_value=2), max_size=6),
+    tail=st.integers(min_value=0, max_value=2),
+)
+def test_stub_answers_by_longest_prefix_and_reads_only_what_decides(entries, start, tail):
+    values = start + [tail] * 4
+    answer, reads = _stub_answer_and_reads(entries, start, tail)
+    assert answer == brute_longest_prefix_answer(entries, values)
+    assert reads == {
+        i
+        for i in range(len(values))
+        if any(len(p) > i and list(p[:i]) == values[:i] for p, _ in entries)
+    }
+
+
+def test_stub_edge_cases():
+    # The empty prefix answers every point without a read.
+    assert _stub_answer_and_reads([((), 7)], [], 0) == (7, set())
+    # It stays the fallback once a longer row stops matching.
+    assert _stub_answer_and_reads([((), 7), ((1, 2), 3)], [1, 0], 0) == (7, {0, 1})
+    assert _stub_answer_and_reads([((), 7), ((1, 2), 3)], [1, 2], 0) == (3, {0, 1})
+    # Of two equal prefixes the later row wins.
+    assert _stub_answer_and_reads([((0, 1), 4), ((0, 1), 5)], [0, 1], 0) == (5, {0, 1})
+    assert _stub_answer_and_reads([((), 4), ((), 5)], [], 0) == (5, set())
+    # No matching prefix is an out-of-table query.
+    assert _stub_answer_and_reads([((1,), 3)], [0], 0) == (None, {0})
+    assert _stub_answer_and_reads([], [], 0) == (None, set())
 
 
 def _gamma_closure(assoc):
