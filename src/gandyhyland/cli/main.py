@@ -174,6 +174,8 @@ def read_trace(path: str) -> HerbrandWitness:
         raise IoError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != TRACE_SCHEMA:
         raise IoError(f"{path}: not a trace file")
+    if payload.get("version") != 1:
+        raise IoError(f"{path}: unsupported trace version {payload.get('version')!r}")
     try:
         return HerbrandWitness.from_dict(payload.get("witness"))
     except IoError as exc:
@@ -419,9 +421,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except IoError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
     _print_record(record)
     if cfg.json_path:
         try:

@@ -60,10 +60,13 @@ class EvalSession:
     """Shared state for one functional's evaluations.
 
     The memo maps (evaluator kind, sequence items, depth) to a value and
-    is write-once; computed gamma values live in their own table together
-    with the depth at which they stabilized. A session serves exactly one
-    functional: mixing two would silently cross-contaminate the memo, so
-    the first functional seen claims the session.
+    is write-once. A leaf, where Y is applied to a padded sequence without
+    recursion, is keyed by the point it evaluates, so leaves that evaluate
+    the same point share one entry and one fuel step. Computed gamma
+    values live in their own table together with the depth at which they
+    stabilized. A session serves exactly one functional: mixing two would
+    silently cross-contaminate the memo, so the first functional seen
+    claims the session.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -134,10 +137,11 @@ def _depth_eval(
     positions s+1 .. s+m carry the values at the one-step extensions of s,
     computed on demand; beyond that the point is constantly pad_value. At
     or past the cutoff the sequence is truncated to its first m values and
-    padded with pad_value.
+    padded with pad_value; that leaf is keyed by those first m values, so
+    every sequence sharing them hits one memo entry.
     """
     session.claim(y)
-    key = (kind, s.items, m)
+    key = (kind, s.items[:m], m)
     cached = session.memo_get(key)
     if cached is not None:
         return cached
@@ -183,12 +187,14 @@ def g_eval(
     """Non-truncating depth-N approximation.
 
     Sequences of length at least N are evaluated at their zero-padding
-    unchanged; shorter ones get the lazily-extended block with unbounded
-    child indices. When bound is given, every child value is checked
-    against the bound at the position carrying it, on every read path,
-    and BoundExceeded is raised on a violation.
+    unchanged, whatever N is, so that leaf is keyed at depth len(s);
+    shorter ones get the lazily-extended block with unbounded child
+    indices. When bound is given, every child value is checked against
+    the bound at the position carrying it, on every read path, and
+    BoundExceeded is raised on a violation.
     """
     session.claim(y)
+    n = max(n, len(s))
     key = ("g", s.items, n)
     cached = session.memo_get(key)
     checked = bound is not None and (key[1], n) in session._bound_checked

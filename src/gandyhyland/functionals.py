@@ -81,29 +81,28 @@ class Functional:
         return f"Functional({self.name})"
 
 
-def associate_apply(gamma: Associate, alpha: Point, fuel: Fuel) -> int:
-    """Value of the functional described by gamma at the point alpha.
-
-    Scans prefixes of alpha until gamma decides; the scan is fuel-bounded
-    because an associate may simply never decide along a given point.
-    """
-    read: list[int] = []
+def _scan(gamma: Associate, alpha: Point, fuel: Fuel, op: str, node: list) -> tuple[int, int]:
+    """(value, deciding prefix length) of gamma along alpha, one fuel step per
+    level; gamma is queried only at trie nodes [answer, children] not yet answered."""
+    prefix: tuple[int, ...] = ()
     while True:
-        fuel.spend(f"associate_apply({gamma.name})")
-        q = gamma.query(_from_trusted_tuple(tuple(read)))
-        if q > 0:
-            return q - 1
-        read.append(alpha.value_at(len(read)))
+        fuel.spend(f"{op}({gamma.name})")
+        if node[0] is None:
+            node[0] = gamma.query(_from_trusted_tuple(prefix))
+        if node[0] > 0:
+            return node[0] - 1, len(prefix)
+        prefix += (alpha.value_at(len(prefix)),)
+        node = node[1].setdefault(prefix[-1], [None, {}])
+
+
+def associate_apply(gamma: Associate, alpha: Point, fuel: Fuel) -> int:
+    """Value of the functional described by gamma at the point alpha."""
+    return _scan(gamma, alpha, fuel, "associate_apply", [None, {}])[0]
 
 
 def modulus_from_associate(gamma: Associate, alpha: Point, fuel: Fuel) -> int:
     """Length of the first deciding prefix of alpha under gamma."""
-    read: list[int] = []
-    while True:
-        fuel.spend(f"modulus_from_associate({gamma.name})")
-        if gamma.query(_from_trusted_tuple(tuple(read))) > 0:
-            return len(read)
-        read.append(alpha.value_at(len(read)))
+    return _scan(gamma, alpha, fuel, "modulus_from_associate", [None, {}])[1]
 
 
 def check_neighbourhood(gamma: Associate, depth: int, width: int) -> bool:
@@ -147,10 +146,12 @@ def associate_from_functional(y: Functional) -> Associate:
 
 
 def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL) -> Functional:
-    """Functional evaluating gamma along its argument; fresh fuel per call."""
+    """Functional evaluating gamma along its argument. apply and modulus share one
+    trie of per-prefix answers; each call spends its own Fuel(fuel_budget) per level."""
+    trie: list = [None, {}]
     return Functional(
-        apply=lambda alpha: associate_apply(gamma, alpha, Fuel(fuel_budget)),
-        modulus=lambda alpha: modulus_from_associate(gamma, alpha, Fuel(fuel_budget)),
+        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), "associate_apply", trie)[0],
+        modulus=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), "modulus_from_associate", trie)[1],
         name=f"fn({gamma.name})",
     )
 
@@ -183,7 +184,6 @@ def _flag_associate(h: Point, offset: int, name: str) -> Associate:
         while frontier < m:
             if h.value_at(frontier) != 0:
                 state["found"] = frontier
-                state["frontier"] = frontier
                 return frontier
             frontier += 1
         state["frontier"] = frontier

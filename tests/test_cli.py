@@ -286,8 +286,16 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
         lambda payload: payload["witness"].update(trajectory=[[0]]),
         lambda payload: payload["witness"].update(probes=[]),
         lambda payload: payload["witness"]["probes"].update(apply=[[0]]),
+        lambda payload: payload.update(version=2),
     ],
-    ids=["no-witness", "scalar-prefix", "short-trajectory-row", "probes-list", "one-element-row"],
+    ids=[
+        "no-witness",
+        "scalar-prefix",
+        "short-trajectory-row",
+        "probes-list",
+        "one-element-row",
+        "version-2",
+    ],
 )
 def test_replay_of_a_malformed_trace_is_an_io_error(tmp_path, capsys, edit):
     path = tmp_path / "run.trace"

@@ -45,6 +45,7 @@ from gandyhyland import (
     replay_check,
     stabilize,
 )
+from gandyhyland.cli.dsl import Add, Ifz, Least, Lit, Mul, Probe, functional_from_ast
 from gandyhyland.cli.fixtures import (
     catalog_functionals,
     crafted_mu_points,
@@ -382,6 +383,38 @@ def test_memo_is_observationally_transparent():
             assert gamma_eval(y1, s, with_memo) == gamma_eval(y2, s, without), (name, s.items)
 
 
+# Expressions that probe only literal positions: the recursion they start
+# stays a few levels deep, so memo-free evaluation finishes quickly.
+_SHALLOW_AST = st.recursive(
+    st.builds(Lit, st.integers(min_value=0, max_value=3))
+    | st.builds(Probe, st.builds(Lit, st.integers(min_value=0, max_value=4))),
+    lambda node: st.one_of(
+        st.builds(Add, node, node),
+        st.builds(Mul, node, node),
+        st.builds(Ifz, node, node, node),
+        st.builds(Least, st.integers(min_value=0, max_value=2), node),
+    ),
+    max_leaves=6,
+)
+
+
+@given(
+    tree=_SHALLOW_AST,
+    start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
+    depth=st.integers(min_value=0, max_value=6),
+)
+def test_memo_keys_are_observationally_transparent(tree, start, depth):
+    # Memo-free evaluation never builds a key, so it checks the keys from
+    # outside: leaves that share a key must have shared their value.
+    y = functional_from_ast(tree)
+    with_memo = make_session()
+    without = make_session(memo_enabled=False)
+    for evaluate in (h_eval, h_hat_eval, g_eval):
+        for n in range(depth + 1):
+            assert evaluate(y, start, n, with_memo) == evaluate(y, start, n, without), n
+    assert gamma_eval(y, start, with_memo) == gamma_eval(y, start, without)
+
+
 def test_memo_is_write_once():
     session = make_session()
     session.memo_put(("h", (5,), 1), 3)
@@ -397,8 +430,8 @@ def _work(session: EvalSession) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "expr, start, window, value, fuel, memo",
     [
-        ("f(12)+1", (), 14, 13, 702, 702),
-        ("f(0)+f(16)*2", (1, 0), 18, 32767, 1050, 1050),
+        ("f(12)+1", (), 14, 13, 546, 546),
+        ("f(0)+f(16)*2", (1, 0), 18, 32767, 782, 782),
         ("f(f(0))", (), 4, 0, 10, 10),
     ],
 )
@@ -414,7 +447,21 @@ def test_ghs_witness_work_counts_are_frozen():
     y = functional_from_associate(flag_associate("flag-gamma", 5))
     session = make_session(fuel_steps=2_000_000, window=6)
     assert modulus_from_ghs(y, constant_point(0, name="zeros"), session) == 6
-    assert _work(session) == (11978, 11978)
+    assert _work(session) == (5930, 5930)
+
+
+def test_leaves_are_keyed_by_the_point_they_evaluate():
+    # At or past its cutoff h_eval applies Y to the first m entries padded,
+    # and g_eval at any depth n <= len(s) to s padded: one node each.
+    y = expr_functional("f(0)+f(1)*3")
+    session = make_session()
+    for tail in ((), (0,), (5, 3), (1, 1, 1)):
+        assert h_eval(y, FinSeq((2, 1) + tail), 2, session) == 5
+    assert _work(session) == (1, 1)
+    session = make_session()
+    s = FinSeq((3, 0, 4))
+    assert [g_eval(y, s, n, session) for n in range(len(s) + 1)] == [3] * 4
+    assert _work(session) == (1, 1)
 
 
 def test_session_serves_one_functional():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gandyhyland import (
     EMPTY,
@@ -182,6 +185,52 @@ def test_undecided_associate_exhausts_fuel():
         associate_apply(never, constant_point(0), Fuel(50))
     with pytest.raises(FuelExhausted):
         modulus_from_associate(never, constant_point(0), Fuel(50))
+
+
+_PREFIX = st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(tuple)
+_PADDED_POINT = st.tuples(_PREFIX, st.integers(min_value=0, max_value=2))
+
+
+def _outcome(scan) -> int | None:
+    try:
+        return scan()
+    except FuelExhausted:
+        return None
+
+
+@given(
+    table=st.dictionaries(_PREFIX, st.integers(min_value=0, max_value=5), max_size=6),
+    calls=st.lists(st.tuples(st.booleans(), _PADDED_POINT), min_size=1, max_size=6),
+    budget=st.integers(min_value=1, max_value=6),
+)
+def test_functional_from_associate_answers_each_prefix_once(table, calls, budget):
+    # A prefix decides with the value of its shortest prefix in the table,
+    # which keeps decisions stable along extensions.
+    def decide(sigma: FinSeq) -> int:
+        for n in range(len(sigma) + 1):
+            if sigma.items[:n] in table:
+                return table[sigma.items[:n]] + 1
+        return 0
+
+    asked: Counter = Counter()
+
+    def counting(sigma: FinSeq) -> int:
+        asked[sigma.items] += 1
+        return decide(sigma)
+
+    plain = Associate(decide, name="table")
+    y = functional_from_associate(Associate(counting, name="counted table"), budget)
+    # Every call twice, apply and modulus interleaved, so later calls walk
+    # prefixes already answered.
+    for use_modulus, (items, tail) in calls + calls[::-1]:
+        alpha = pad(FinSeq(items), tail)
+        if use_modulus:
+            op, direct = y.modulus, modulus_from_associate
+        else:
+            op, direct = y.apply, associate_apply
+        expected = _outcome(lambda: direct(plain, alpha, Fuel(budget)))
+        assert _outcome(lambda: op(alpha)) == expected
+    assert all(n == 1 for n in asked.values())
 
 
 def test_mu_finds_the_first_zero():
