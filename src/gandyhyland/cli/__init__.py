@@ -1,81 +1,1 @@
 """Command line layer: expression DSL, fixtures, checks, driver."""
-
-from .checks import ALL_CHECKS, CheckResult, run_all
-from .dsl import (
-    Add,
-    FunctionalSpecAst,
-    Ifz,
-    Least,
-    Lit,
-    Mul,
-    Probe,
-    eval_ast,
-    functional_from_ast,
-    parse_spec,
-    render,
-)
-from .fixtures import (
-    beta_point,
-    catalog_associates,
-    catalog_fan_functionals,
-    catalog_functionals,
-    crafted_mu_points,
-    expr_functional,
-    flag_associate,
-    flag_stream,
-    functional_fixture,
-    parse_seq,
-    sample_points,
-    tree_fixture,
-)
-from .main import (
-    COMMANDS,
-    ResultRecord,
-    RunConfig,
-    cli_entry,
-    emit_json,
-    main,
-    read_json,
-    read_trace,
-    run_command,
-    write_trace,
-)
-
-__all__ = [
-    "ALL_CHECKS",
-    "Add",
-    "CheckResult",
-    "COMMANDS",
-    "FunctionalSpecAst",
-    "Ifz",
-    "Least",
-    "Lit",
-    "Mul",
-    "Probe",
-    "ResultRecord",
-    "RunConfig",
-    "beta_point",
-    "catalog_associates",
-    "catalog_fan_functionals",
-    "catalog_functionals",
-    "cli_entry",
-    "crafted_mu_points",
-    "emit_json",
-    "eval_ast",
-    "expr_functional",
-    "flag_associate",
-    "flag_stream",
-    "functional_fixture",
-    "functional_from_ast",
-    "main",
-    "parse_seq",
-    "parse_spec",
-    "read_json",
-    "read_trace",
-    "render",
-    "run_all",
-    "run_command",
-    "sample_points",
-    "tree_fixture",
-    "write_trace",
-]

@@ -9,9 +9,11 @@ the public API.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, Iterator
 
 from ..errors import FuelExhausted, OutOfTableQuery
 from ..evaluator import (
@@ -62,6 +64,36 @@ class CheckResult:
     seconds: float
 
 
+ALL_CHECKS: list[Callable[[], CheckResult]] = []
+
+
+def _check(name: str, passing_detail: str):
+    """Register a check body in ALL_CHECKS, in definition order.
+
+    The body yields the problems it finds. The registered function runs it
+    to the end under a timer and returns a CheckResult that passes when
+    there are none, with passing_detail as its detail, and otherwise the
+    first four problems.
+    """
+
+    def register(body: Callable[[], Iterator[str]]) -> Callable[[], CheckResult]:
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            start = time.perf_counter()
+            problems = list(body())
+            return CheckResult(
+                name=name,
+                passed=not problems,
+                detail="; ".join(problems[:4]) or passing_detail,
+                seconds=time.perf_counter() - start,
+            )
+
+        ALL_CHECKS.append(check)
+        return check
+
+    return register
+
+
 def _grid(max_len: int = 3, width: int = 3) -> list[FinSeq]:
     out = [FinSeq(())]
     for length in range(1, max_len + 1):
@@ -69,97 +101,81 @@ def _grid(max_len: int = 3, width: int = 3) -> list[FinSeq]:
     return out
 
 
-def check_golden_values() -> CheckResult:
+@_check(
+    "golden-values",
+    "empty-start value 0, one-padded depth m0-2 value 1, associate 0 and m0 at the beta points",
+)
+def check_golden_values() -> Iterator[str]:
     """Flag functional landmarks at thresholds 3, 4, 5."""
-    start = time.perf_counter()
-    problems: list[str] = []
     for m0 in (3, 4, 5):
         y = functional_fixture("flag-gamma", m0=m0)
         session = make_session()
         got = gamma_eval(y, EMPTY, session)
         if got != 0:
-            problems.append(f"m0={m0}: empty-start value {got}, wanted 0")
+            yield f"m0={m0}: empty-start value {got}, wanted 0"
         hat = h_hat_eval(y, EMPTY, m0 - 2, make_session())
         if hat != 1:
-            problems.append(f"m0={m0}: one-padded eval at depth {m0 - 2} gave {hat}, wanted 1")
+            yield f"m0={m0}: one-padded eval at depth {m0 - 2} gave {hat}, wanted 1"
         assoc = flag_associate("flag-gamma", m0)
         at_zero = associate_apply(assoc, beta_point(0), Fuel(50_000))
         at_m0 = associate_apply(assoc, beta_point(m0), Fuel(50_000))
         if at_zero != 0:
-            problems.append(f"m0={m0}: associate at beta(0) gave {at_zero}, wanted 0")
+            yield f"m0={m0}: associate at beta(0) gave {at_zero}, wanted 0"
         if at_m0 != m0:
-            problems.append(f"m0={m0}: associate at beta({m0}) gave {at_m0}, wanted {m0}")
-    return CheckResult(
-        name="golden-values",
-        passed=not problems,
-        detail="; ".join(problems)
-        or "empty-start value 0, one-padded depth m0-2 value 1, associate 0 and m0 at the beta points",
-        seconds=time.perf_counter() - start,
-    )
+            yield f"m0={m0}: associate at beta({m0}) gave {at_m0}, wanted {m0}"
 
 
-def check_gh_fixed_point() -> CheckResult:
+@_check(
+    "gh-fixed-point",
+    "6 functionals x 40 starts: both limits settle by 32, agree over the window, equation holds",
+)
+def check_gh_fixed_point() -> Iterator[str]:
     """Depth limits agree across a window and satisfy the defining equation."""
-    start = time.perf_counter()
-    problems: list[str] = []
     grid = _grid()
     for y in catalog_functionals():
         session = make_session()
         for s in grid:
             n0, value = stabilize(y, s, session)
             if n0 > 32:
-                problems.append(f"{y.name} at {s}: settled only at {n0}")
+                yield f"{y.name} at {s}: settled only at {n0}"
                 continue
             for n in range(n0, n0 + session.window + 1):
                 hv = h_eval(y, s, n, session)
                 gv = g_eval(y, s, n, session)
                 if hv != value or gv != value:
-                    problems.append(f"{y.name} at {s}: depth {n} gave {hv}/{gv}, not {value}")
+                    yield f"{y.name} at {s}: depth {n} gave {hv}/{gv}, not {value}"
             final = gamma_eval(y, s, session)
             if final != value:
-                problems.append(f"{y.name} at {s}: checked value {final} != window value {value}")
+                yield f"{y.name} at {s}: checked value {final} != window value {value}"
             if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
-                problems.append(f"{y.name} at {s}: defining equation fails")
-    return CheckResult(
-        name="gh-fixed-point",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "6 functionals x 40 starts: both limits settle by 32, agree over the window, equation holds",
-        seconds=time.perf_counter() - start,
-    )
+                yield f"{y.name} at {s}: defining equation fails"
 
 
-def check_scf() -> CheckResult:
+@_check(
+    "scf-exhaustive",
+    "677 trees of height <= 3 x 4 functionals, covering check passes everywhere",
+)
+def check_scf() -> Iterator[str]:
     """Covering data from special_fan survives every small tree."""
-    start = time.perf_counter()
-    problems: list[str] = []
     counts = [len(enumerate_trees(d)) for d in range(4)]
     expected = [2]
     for _ in range(3):
         expected.append(1 + expected[-1] ** 2)
     if counts != expected:
-        problems.append(f"tree counts {counts}, recurrence wants {expected}")
+        yield f"tree counts {counts}, recurrence wants {expected}"
     trees = enumerate_trees(3)
     omega = lambda fn: fan_modulus(fn, Fuel(500_000))
     for g in catalog_fan_functionals():
         theta = special_fan(omega, g)
         for tree in trees:
             if not scf_check(theta, g, tree, depth=16):
-                problems.append(f"{g.name} vs {tree.name}")
+                yield f"{g.name} vs {tree.name}"
                 break
-    return CheckResult(
-        name="scf-exhaustive",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or f"{counts[-1]} trees of height <= 3 x 4 functionals, covering check passes everywhere",
-        seconds=time.perf_counter() - start,
-    )
 
 
-def check_fan_soundness() -> CheckResult:
+@_check("fan-soundness", "binary prefixes at the bound pin each value, one shorter never does")
+def check_fan_soundness() -> Iterator[str]:
     """fan_modulus bounds are exact: sound at N, refutable at N-1."""
-    start = time.perf_counter()
-    problems: list[str] = []
     for y in catalog_functionals():
         n = fan_modulus(y, Fuel(500_000))
 
@@ -176,22 +192,17 @@ def check_fan_soundness() -> CheckResult:
             return False
 
         if spread(n):
-            problems.append(f"{y.name}: prefixes of length {n} do not pin the value")
+            yield f"{y.name}: prefixes of length {n} do not pin the value"
         if n > 0 and not spread(n - 1):
-            problems.append(f"{y.name}: length {n - 1} already pins the value, bound not least")
-    return CheckResult(
-        name="fan-soundness",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "binary prefixes at the bound pin each value, one shorter never does",
-        seconds=time.perf_counter() - start,
-    )
+            yield f"{y.name}: length {n - 1} already pins the value, bound not least"
 
 
-def check_mu_round_trips() -> CheckResult:
+@_check(
+    "mu-round-trips",
+    "50 crafted points: both routes match the linear scan; zero-free input exhausts fuel",
+)
+def check_mu_round_trips() -> Iterator[str]:
     """Both derived searches find the true least zero; fuel runs dry on zero-free input."""
-    start = time.perf_counter()
-    problems: list[str] = []
 
     def gamma_closure(assoc):
         # Small per-apply budget: on a deciding associate the scan stops
@@ -203,29 +214,22 @@ def check_mu_round_trips() -> CheckResult:
     for point, z in crafted_mu_points():
         oracle = next(n for n in range(200) if point.value_at(n) == 0)
         if oracle != z:
-            problems.append(f"{point.name}: fixture says {z}, scan says {oracle}")
+            yield f"{point.name}: fixture says {z}, scan says {oracle}"
             continue
         via_modulus = mu_from_modulus(modulus_from_associate, point, Fuel(200_000))
         if via_modulus != oracle:
-            problems.append(f"{point.name}: modulus route gave {via_modulus}, wanted {oracle}")
+            yield f"{point.name}: modulus route gave {via_modulus}, wanted {oracle}"
         via_ext = mu_from_gh_ext(gamma_closure, ext_witness, point, Fuel(200_000))
         if via_ext != oracle:
-            problems.append(f"{point.name}: witness route gave {via_ext}, wanted {oracle}")
+            yield f"{point.name}: witness route gave {via_ext}, wanted {oracle}"
     ones = constant_point(1, name="ones")
     try:
         mu_from_modulus(modulus_from_associate, ones, Fuel(300))
-        problems.append("modulus route terminated on a zero-free point")
+        yield "modulus route terminated on a zero-free point"
     except FuelExhausted:
         pass
     if mu_from_gh_ext(gamma_closure, ext_witness, ones, Fuel(300)) != 0:
-        problems.append("witness route did not fall back to 0 on a zero-free point")
-    return CheckResult(
-        name="mu-round-trips",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "50 crafted points: both routes match the linear scan; zero-free input exhausts fuel",
-        seconds=time.perf_counter() - start,
-    )
+        yield "witness route did not fall back to 0 on a zero-free point"
 
 
 def _mutated(witness, group: str, index: int) -> HerbrandWitness:
@@ -240,17 +244,19 @@ def _mutated(witness, group: str, index: int) -> HerbrandWitness:
     )
 
 
-def check_herbrand_replay() -> CheckResult:
+@_check(
+    "herbrand-replay",
+    "18 traces replay clean; every single-answer corruption is detected; spare rows are ignored",
+)
+def check_herbrand_replay() -> Iterator[str]:
     """Faithful traces replay; any single corrupted answer is caught."""
-    start = time.perf_counter()
-    problems: list[str] = []
     starts = [EMPTY, FinSeq((1,)), FinSeq((0, 2))]
     traces = []
     for y in catalog_functionals():
         for s in starts:
             witness = herbrand_trace(y, s, make_session())
             if not replay_check(witness, s, make_session()):
-                problems.append(f"{y.name} at {s}: clean replay fails")
+                yield f"{y.name} at {s}: clean replay fails"
                 continue
             traces.append((witness, s, y.name))
     for witness, s, name in traces:
@@ -262,7 +268,7 @@ def check_herbrand_replay() -> CheckResult:
                 except (OutOfTableQuery, FuelExhausted):
                     clean = False
                 if clean:
-                    problems.append(f"{name} at {s}: {group}[{index}] mutation slipped through")
+                    yield f"{name} at {s}: {group}[{index}] mutation slipped through"
     if traces:
         witness, s, _ = traces[0]
         padded = {k: list(v) for k, v in witness.probes.items()}
@@ -274,20 +280,15 @@ def check_herbrand_replay() -> CheckResult:
             trajectory=list(witness.trajectory),
         )
         if not replay_check(extra, s, make_session()):
-            problems.append("an unused extra table row broke replay")
-    return CheckResult(
-        name="herbrand-replay",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "18 traces replay clean; every single-answer corruption is detected; spare rows are ignored",
-        seconds=time.perf_counter() - start,
-    )
+            yield "an unused extra table row broke replay"
 
 
-def check_cross_coherence() -> CheckResult:
+@_check(
+    "cross-coherence",
+    "11 associates x 10 points: three modulus routes agree; certified depth dominates observed",
+)
+def check_cross_coherence() -> Iterator[str]:
     """Three modulus constructions agree; certified bounds dominate observed ones."""
-    start = time.perf_counter()
-    problems: list[str] = []
     points = sample_points()
     for assoc in catalog_associates():
         y = functional_from_associate(assoc, 100_000)
@@ -301,10 +302,10 @@ def check_cross_coherence() -> CheckResult:
             try:
                 via_mu = modulus_from_mu(mu, assoc, f, Fuel(200_000))
             except FuelExhausted:
-                problems.append(f"{assoc.name} at {f.name}: mu route ran out of fuel")
+                yield f"{assoc.name} at {f.name}: mu route ran out of fuel"
                 continue
             if not (via_ghs == via_assoc == via_mu):
-                problems.append(
+                yield (
                     f"{assoc.name} at {f.name}: ghs {via_ghs}, associate {via_assoc}, mu {via_mu}"
                 )
     h2 = constant_point(2, name="h2")
@@ -314,30 +315,25 @@ def check_cross_coherence() -> CheckResult:
             n0, _ = stabilize(y, s, session)
             n_cert = certified_depth_bounded(y, s, h2, session)
             if n_cert < n0:
-                problems.append(f"{y.name} at {s}: certified {n_cert} below observed {n0}")
-    return CheckResult(
-        name="cross-coherence",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "11 associates x 10 points: three modulus routes agree; certified depth dominates observed",
-        seconds=time.perf_counter() - start,
-    )
+                yield f"{y.name} at {s}: certified {n_cert} below observed {n0}"
 
 
-def check_foundation_laws() -> CheckResult:
+@_check(
+    "foundation-laws",
+    "neighbourhood law exhaustive to depth 5; codes below 10^4 bijective; memoisation invisible",
+)
+def check_foundation_laws() -> Iterator[str]:
     """Neighbourhood law, coding bijectivity, memo transparency."""
-    start = time.perf_counter()
-    problems: list[str] = []
     for assoc in catalog_associates():
         if not check_neighbourhood(assoc, depth=5, width=3):
-            problems.append(f"{assoc.name}: decided value not inherited by extensions")
+            yield f"{assoc.name}: decided value not inherited by extensions"
     for n in range(10_000):
         if code(decode(n)) != n:
-            problems.append(f"coding: decode/code round trip breaks at {n}")
+            yield f"coding: decode/code round trip breaks at {n}"
             break
     for s in _grid(max_len=4):
         if decode(code(s)) != s:
-            problems.append(f"coding: code/decode round trip breaks at {s}")
+            yield f"coding: code/decode round trip breaks at {s}"
             break
     grid = _grid()
     for name in ("const2", "proj0", "proj2", "sum01", "nest", "flag-gamma"):
@@ -348,30 +344,11 @@ def check_foundation_laws() -> CheckResult:
             a = stabilize(y, s, with_memo)
             b = stabilize(y, s, without)
             if a != b:
-                problems.append(f"{name} at {s}: memo changes stabilize {a} vs {b}")
+                yield f"{name} at {s}: memo changes stabilize {a} vs {b}"
                 break
             if gamma_eval(y, s, with_memo) != gamma_eval(y, s, without):
-                problems.append(f"{name} at {s}: memo changes the checked value")
+                yield f"{name} at {s}: memo changes the checked value"
                 break
-    return CheckResult(
-        name="foundation-laws",
-        passed=not problems,
-        detail="; ".join(problems[:4])
-        or "neighbourhood law exhaustive to depth 5; codes below 10^4 bijective; memoisation invisible",
-        seconds=time.perf_counter() - start,
-    )
-
-
-ALL_CHECKS = [
-    check_golden_values,
-    check_gh_fixed_point,
-    check_scf,
-    check_fan_soundness,
-    check_mu_round_trips,
-    check_herbrand_replay,
-    check_cross_coherence,
-    check_foundation_laws,
-]
 
 
 def run_all() -> list[CheckResult]:

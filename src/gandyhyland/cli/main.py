@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from ..errors import (
     GandyHylandError,
@@ -35,26 +36,9 @@ from ..evaluator import (
 )
 from ..fan import fan_modulus, full_fan_modulus, pwc_bound, scf_check, special_fan
 from ..functionals import Fuel, Functional, mu
-from ..sequences import FinSeq, constant_point, pad
+from ..sequences import FinSeq, Point, constant_point, pad
 from .checks import run_all
-from .fixtures import expr_functional, functional_fixture, parse_seq, tree_fixture
-
-COMMANDS = (
-    "eval-gh",
-    "h",
-    "g",
-    "stabilize",
-    "fan",
-    "full-fan",
-    "special-fan",
-    "scf-check",
-    "pwc",
-    "ghs",
-    "trace",
-    "replay",
-    "mu",
-    "check-all",
-)
+from .fixtures import FLAG_FIXTURES, expr_functional, functional_fixture, parse_seq, tree_fixture
 
 RESULTS_SCHEMA = "gandyhyland-results"
 TRACE_SCHEMA = "gandyhyland-trace"
@@ -200,126 +184,179 @@ def _seq(cfg: RunConfig) -> FinSeq:
     return parse_seq(cfg.seq)
 
 
-def _describe_inputs(cmd: str, cfg: RunConfig) -> dict:
-    inputs: dict = {}
-    if cmd in ("eval-gh", "h", "g", "stabilize", "fan", "full-fan", "special-fan",
-               "scf-check", "pwc", "ghs", "trace"):
-        inputs["functional"] = cfg.expr if cfg.expr is not None else cfg.fixture
-        if cfg.fixture in ("flag-gamma", "flag-epsilon"):
-            inputs["m0"] = cfg.m0
-    if cmd in ("eval-gh", "h", "g", "stabilize", "pwc", "ghs", "trace", "replay", "mu"):
-        inputs["seq"] = list(_seq(cfg))
-    if cmd in ("pwc", "ghs", "mu"):
-        inputs["pad"] = cfg.pad_value
-    if cmd in ("h", "g", "scf-check"):
-        inputs["depth"] = cfg.depth
-    if cmd in ("full-fan", "pwc"):
-        inputs["hconst"] = cfg.hconst
-    if cmd == "scf-check":
-        inputs["tree"] = cfg.tree
-    if cmd in ("trace", "replay"):
-        inputs["trace"] = cfg.trace_path
-    if cmd == "ghs":
-        inputs["value_cap"] = cfg.value_cap
-        inputs["tail_cap"] = cfg.tail_cap
-    inputs["fuel"] = cfg.fuel
-    return inputs
-
-
 def _require(value, flag: str):
     if value is None:
         raise ValueError(f"this command needs {flag}")
     return value
 
 
-def _dispatch(cmd: str, cfg: RunConfig):
-    """Returns (output, probes)."""
-    if cmd == "eval-gh":
-        y = _functional(cfg)
-        s = _seq(cfg)
-        session = _session(cfg)
-        value = gamma_eval(y, s, session)
-        return {"value": value, "depth": session.gamma_depth(s)}, {}
-    if cmd == "h":
-        y = _functional(cfg)
-        return h_eval(y, _seq(cfg), _require(cfg.depth, "--depth"), _session(cfg)), {}
-    if cmd == "g":
-        y = _functional(cfg)
-        return g_eval(y, _seq(cfg), _require(cfg.depth, "--depth"), _session(cfg)), {}
-    if cmd == "stabilize":
-        n0, value = stabilize(_functional(cfg), _seq(cfg), _session(cfg))
-        return {"depth": n0, "value": value}, {}
-    if cmd == "fan":
-        return fan_modulus(_functional(cfg), Fuel(cfg.fuel)), {}
-    if cmd == "full-fan":
-        bound = full_fan_modulus(
-            _functional(cfg), constant_point(cfg.hconst, name=f"h{cfg.hconst}"), Fuel(cfg.fuel)
-        )
-        return bound, {}
-    if cmd == "special-fan":
-        theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), _functional(cfg))
-        points = [[p.value_at(i) for i in range(theta.bound)] for p in theta.points]
-        return {"bound": theta.bound, "points": points}, {}
-    if cmd == "scf-check":
-        y = _functional(cfg)
-        tree = tree_fixture(_require(cfg.tree, "--tree"))
-        theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), y)
-        depth = cfg.depth if cfg.depth is not None else 16
-        return scf_check(theta, y, tree, depth=depth), {}
-    if cmd == "pwc":
-        y = _functional(cfg)
-        f = pad(_seq(cfg), cfg.pad_value)
-        h = constant_point(cfg.hconst, name=f"h{cfg.hconst}")
-        return pwc_bound(y, f, h, Fuel(cfg.fuel)), {}
-    if cmd == "ghs":
-        y = _functional(cfg)
-        alpha = pad(_seq(cfg), cfg.pad_value)
-        bound = modulus_from_ghs(
-            y, alpha, _session(cfg), value_cap=cfg.value_cap, tail_cap=cfg.tail_cap
-        )
-        return bound, {}
-    if cmd == "trace":
-        y = _functional(cfg)
-        s = _seq(cfg)
-        witness = herbrand_trace(y, s, _session(cfg))
-        write_trace(witness, _require(cfg.trace_path, "--trace"))
-        counts = {group: len(entries) for group, entries in witness.probes.items()}
-        return {"depth": witness.depth, "result": witness.result}, counts
-    if cmd == "replay":
-        witness = read_trace(_require(cfg.trace_path, "--trace"))
-        return replay_check(witness, _seq(cfg), _session(cfg)), {
-            group: len(entries) for group, entries in witness.probes.items()
-        }
-    if cmd == "mu":
-        point = pad(_seq(cfg), cfg.pad_value)
-        return mu(point, Fuel(cfg.fuel)), {}
-    if cmd == "check-all":
-        results = run_all()
-        output = {
-            "passed": all(r.passed for r in results),
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
-            ],
-        }
-        return output, {}
-    raise ValueError(f"unknown command {cmd!r}")
+def _point(cfg: RunConfig) -> Point:
+    return pad(_seq(cfg), cfg.pad_value)
+
+
+def _height(cfg: RunConfig) -> Point:
+    return constant_point(cfg.hconst, name=f"h{cfg.hconst}")
+
+
+def _print_output(record: ResultRecord) -> None:
+    print(f"{record.operation}: {json.dumps(record.output)}")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: everything run_command and main know about it.
+
+    run(cfg) returns (output, probes). inputs names the record keys the
+    command lists, each read from the RunConfig field of that name ("pad"
+    from pad_value, "trace" from trace_path); "functional" also lists m0
+    for a flag fixture, and "fuel" is always listed, last. show prints a
+    successful record, and passed(output) is false when the run should
+    exit with 1.
+    """
+
+    run: Callable[[RunConfig], tuple[object, dict]]
+    inputs: tuple[str, ...] = ()
+    show: Callable[[ResultRecord], None] = _print_output
+    passed: Callable[[object], bool] = lambda output: output is not False
+
+
+_FIELDS = {"pad": "pad_value", "trace": "trace_path"}
+
+
+def _describe_inputs(command: Command, cfg: RunConfig) -> dict:
+    inputs: dict = {}
+    for key in command.inputs:
+        if key == "functional":
+            inputs[key] = cfg.expr if cfg.expr is not None else cfg.fixture
+            if cfg.fixture in FLAG_FIXTURES:
+                inputs["m0"] = cfg.m0
+        elif key == "seq":
+            inputs[key] = list(_seq(cfg))
+        else:
+            inputs[key] = getattr(cfg, _FIELDS.get(key, key))
+    inputs["fuel"] = cfg.fuel
+    return inputs
+
+
+# Command bodies name their callees inside a function body instead of
+# binding them at import, so that a callee replaced on this module at run
+# time (by perfbench's tracer or a test's monkeypatch) is the one that runs.
+
+def _eval_gh(cfg: RunConfig):
+    y, s, session = _functional(cfg), _seq(cfg), _session(cfg)
+    value = gamma_eval(y, s, session)
+    return {"value": value, "depth": session.gamma_depth(s)}, {}
+
+
+def _depth_args(cfg: RunConfig):
+    return _functional(cfg), _seq(cfg), _require(cfg.depth, "--depth"), _session(cfg)
+
+
+def _stabilize(cfg: RunConfig):
+    n0, value = stabilize(_functional(cfg), _seq(cfg), _session(cfg))
+    return {"depth": n0, "value": value}, {}
+
+
+def _special_fan(cfg: RunConfig):
+    theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), _functional(cfg))
+    points = [[p.value_at(i) for i in range(theta.bound)] for p in theta.points]
+    return {"bound": theta.bound, "points": points}, {}
+
+
+def _scf_check(cfg: RunConfig):
+    y = _functional(cfg)
+    tree = tree_fixture(_require(cfg.tree, "--tree"))
+    theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), y)
+    depth = cfg.depth if cfg.depth is not None else 16
+    return scf_check(theta, y, tree, depth=depth), {}
+
+
+def _ghs(cfg: RunConfig):
+    y, alpha, session = _functional(cfg), _point(cfg), _session(cfg)
+    return modulus_from_ghs(y, alpha, session, value_cap=cfg.value_cap, tail_cap=cfg.tail_cap), {}
+
+
+def _probe_counts(witness: HerbrandWitness) -> dict:
+    return {group: len(entries) for group, entries in witness.probes.items()}
+
+
+def _trace(cfg: RunConfig):
+    witness = herbrand_trace(_functional(cfg), _seq(cfg), _session(cfg))
+    write_trace(witness, _require(cfg.trace_path, "--trace"))
+    return {"depth": witness.depth, "result": witness.result}, _probe_counts(witness)
+
+
+def _replay(cfg: RunConfig):
+    witness = read_trace(_require(cfg.trace_path, "--trace"))
+    return replay_check(witness, _seq(cfg), _session(cfg)), _probe_counts(witness)
+
+
+def _check_all(cfg: RunConfig):
+    results = run_all()
+    checks = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 3)}
+        for r in results
+    ]
+    return {"passed": all(r.passed for r in results), "checks": checks}, {}
+
+
+def _print_checks(record: ResultRecord) -> None:
+    checks = record.output["checks"]
+    for entry in checks:
+        mark = "PASS" if entry["passed"] else "FAIL"
+        print(f"{mark} {entry['name']} ({entry['seconds']:.3f}s): {entry['detail']}")
+    good = sum(1 for entry in checks if entry["passed"])
+    print(f"{good}/{len(checks)} checks passed")
+
+
+COMMANDS: dict[str, Command] = {
+    "eval-gh": Command(_eval_gh, ("functional", "seq")),
+    "h": Command(lambda cfg: (h_eval(*_depth_args(cfg)), {}), ("functional", "seq", "depth")),
+    "g": Command(lambda cfg: (g_eval(*_depth_args(cfg)), {}), ("functional", "seq", "depth")),
+    "stabilize": Command(_stabilize, ("functional", "seq")),
+    "fan": Command(
+        lambda cfg: (fan_modulus(_functional(cfg), Fuel(cfg.fuel)), {}), ("functional",)
+    ),
+    "full-fan": Command(
+        lambda cfg: (full_fan_modulus(_functional(cfg), _height(cfg), Fuel(cfg.fuel)), {}),
+        ("functional", "hconst"),
+    ),
+    "special-fan": Command(_special_fan, ("functional",)),
+    "scf-check": Command(_scf_check, ("functional", "depth", "tree")),
+    "pwc": Command(
+        lambda cfg: (pwc_bound(_functional(cfg), _point(cfg), _height(cfg), Fuel(cfg.fuel)), {}),
+        ("functional", "seq", "pad", "hconst"),
+    ),
+    "ghs": Command(_ghs, ("functional", "seq", "pad", "value_cap", "tail_cap")),
+    "trace": Command(_trace, ("functional", "seq", "trace")),
+    "replay": Command(_replay, ("seq", "trace")),
+    "mu": Command(lambda cfg: (mu(_point(cfg), Fuel(cfg.fuel)), {}), ("seq", "pad")),
+    "check-all": Command(_check_all, show=_print_checks, passed=lambda output: output["passed"]),
+}
 
 
 def run_command(cmd: str, cfg: RunConfig) -> ResultRecord:
     cfg.validate()
-    inputs = _describe_inputs(cmd, cfg)
+    command = COMMANDS.get(cmd)
+    if command is None:
+        raise ValueError(f"unknown command {cmd!r}")
+    return _record(cmd, command, cfg)
+
+
+# Kept apart from run_command for speed: CPython 3.11 maps and unmaps a 16 KiB
+# frame-stack chunk each time recursion crosses a chunk edge, and with one frame
+# fewer below the evaluator perfbench's deep-probe crossed edges far more often
+# (7.5k page faults a round, not 2.7k; p90 latency up by a third).
+
+def _record(cmd: str, command: Command, cfg: RunConfig) -> ResultRecord:
+    """Run one command under a timer; embed its evaluation error, if any."""
+    inputs = _describe_inputs(command, cfg)
     started = time.perf_counter()
     output = None
     error = None
     probes: dict = {}
     try:
-        output, probes = _dispatch(cmd, cfg)
+        output, probes = command.run(cfg)
     except ParseError:
         raise
     except GandyHylandError as exc:
@@ -335,74 +372,45 @@ def _exit_code(record: ResultRecord) -> int:
         if record.error["type"] in ("FuelExhausted", "StabilizationFailed"):
             return 3
         return 1
-    if record.output is False:
-        return 1
-    if record.operation == "check-all" and not record.output["passed"]:
-        return 1
-    return 0
+    return 0 if COMMANDS[record.operation].passed(record.output) else 1
 
 
 def _print_record(record: ResultRecord) -> None:
     if record.error is not None:
         print(f"{record.operation}: error[{record.error['type']}] {record.error['message']}")
         return
-    if record.operation == "check-all":
-        for entry in record.output["checks"]:
-            mark = "PASS" if entry["passed"] else "FAIL"
-            print(f"{mark} {entry['name']} ({entry['seconds']:.3f}s): {entry['detail']}")
-        total = len(record.output["checks"])
-        good = sum(1 for entry in record.output["checks"] if entry["passed"])
-        print(f"{good}/{total} checks passed")
-        return
-    print(f"{record.operation}: {json.dumps(record.output)}")
+    COMMANDS[record.operation].show(record)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every flag left out stays out of the namespace, so RunConfig alone
+    # holds the defaults.
     parser = argparse.ArgumentParser(
         prog="gandyhyland",
         description="Depth-limited evaluation of bar-recursive functionals, "
         "with fan bounds, trace replay, and built-in checks.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("cmd", choices=COMMANDS)
-    parser.add_argument("--fuel", type=int, default=1_000_000, help="evaluation step budget")
-    parser.add_argument("--nmax", type=int, default=64, help="largest depth tried when settling")
-    parser.add_argument("--window", type=int, default=4, help="agreement window width")
-    parser.add_argument("--value-cap", type=int, default=3, help="entry cap for witness tails")
-    parser.add_argument("--tail-cap", type=int, default=2, help="length cap for witness tails")
-    parser.add_argument("--depth", type=int, default=None, help="explicit depth for h/g, cap for scf-check")
-    parser.add_argument("--json", dest="json_path", default=None, metavar="PATH",
+    parser.add_argument("--fuel", type=int, help="evaluation step budget")
+    parser.add_argument("--nmax", type=int, help="largest depth tried when settling")
+    parser.add_argument("--window", type=int, help="agreement window width")
+    parser.add_argument("--value-cap", type=int, help="entry cap for witness tails")
+    parser.add_argument("--tail-cap", type=int, help="length cap for witness tails")
+    parser.add_argument("--depth", type=int, help="explicit depth for h/g, cap for scf-check")
+    parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the result record as NDJSON")
-    parser.add_argument("--fixture", default=None, help="named functional fixture")
-    parser.add_argument("--expr", default=None, help="functional given as an expression")
-    parser.add_argument("--seq", default="", help='finite sequence, e.g. "1,0,2"')
-    parser.add_argument("--pad", dest="pad_value", type=int, default=0,
+    parser.add_argument("--fixture", help="named functional fixture")
+    parser.add_argument("--expr", help="functional given as an expression")
+    parser.add_argument("--seq", help='finite sequence, e.g. "1,0,2"')
+    parser.add_argument("--pad", dest="pad_value", type=int,
                         help="padding value when a sequence is read as a point")
-    parser.add_argument("--m0", type=int, default=3, help="threshold for the flag fixtures")
-    parser.add_argument("--tree", default=None, help="named tree fixture for scf-check")
-    parser.add_argument("--hconst", type=int, default=1, help="constant height for full-fan and pwc")
-    parser.add_argument("--trace", dest="trace_path", default=None, metavar="PATH",
+    parser.add_argument("--m0", type=int, help="threshold for the flag fixtures")
+    parser.add_argument("--tree", help="named tree fixture for scf-check")
+    parser.add_argument("--hconst", type=int, help="constant height for full-fan and pwc")
+    parser.add_argument("--trace", dest="trace_path", metavar="PATH",
                         help="trace file to write (trace) or read (replay)")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        fuel=args.fuel,
-        nmax=args.nmax,
-        window=args.window,
-        value_cap=args.value_cap,
-        tail_cap=args.tail_cap,
-        depth=args.depth,
-        json_path=args.json_path,
-        fixture=args.fixture,
-        expr=args.expr,
-        seq=args.seq,
-        pad_value=args.pad_value,
-        m0=args.m0,
-        tree=args.tree,
-        hconst=args.hconst,
-        trace_path=args.trace_path,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -412,13 +420,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = _config_from_args(args)
+    fields = vars(args)
+    cmd = fields.pop("cmd")
+    cfg = RunConfig(**fields)
     try:
-        record = run_command(args.cmd, cfg)
-    except ParseError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        record = run_command(cmd, cfg)
+    except (ParseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     _print_record(record)

@@ -67,16 +67,21 @@ class EvalSession:
     stabilized. A session serves exactly one functional: mixing two would
     silently cross-contaminate the memo, so the first functional seen
     claims the session.
+
+    bound, when set, caps every child value g_eval reads in this session
+    at the position carrying it (BoundExceeded otherwise). Set it before
+    the session's first evaluation and leave it: a memo entry is checked
+    once, when it is written, under the bound in force then.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
     window: int = 4
     nmax: int = 64
     memo_enabled: bool = True
+    bound: Point | None = None
     _values: dict[MemoKey, int] = field(default_factory=dict, repr=False)
     _gamma: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict, repr=False)
     _gamma_checked: set[tuple[int, ...]] = field(default_factory=set, repr=False)
-    _bound_checked: set[tuple[tuple[int, ...], int]] = field(default_factory=set, repr=False)
     _owner: Functional | None = field(default=None, repr=False)
 
     def child(self) -> EvalSession:
@@ -86,6 +91,7 @@ class EvalSession:
             window=self.window,
             nmax=self.nmax,
             memo_enabled=self.memo_enabled,
+            bound=self.bound,
         )
 
     def claim(self, y: Functional) -> None:
@@ -177,43 +183,37 @@ def h_hat_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     return _depth_eval(y, s, m, session, "hhat", 1)
 
 
-def g_eval(
-    y: Functional,
-    s: FinSeq,
-    n: int,
-    session: EvalSession,
-    bound: Point | None = None,
-) -> int:
+def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     """Non-truncating depth-N approximation.
 
     Sequences of length at least N are evaluated at their zero-padding
     unchanged, whatever N is, so that leaf is keyed at depth len(s);
     shorter ones get the lazily-extended block with unbounded child
-    indices. When bound is given, every child value is checked against
-    the bound at the position carrying it, on every read path, and
-    BoundExceeded is raised on a violation.
+    indices. When the session has a bound, every child value is checked
+    against the bound at the position carrying it, on every read path,
+    and BoundExceeded is raised on a violation; a memo entry is written
+    only after its own reads passed, so a hit needs no second check.
     """
     session.claim(y)
     n = max(n, len(s))
     key = ("g", s.items, n)
     cached = session.memo_get(key)
-    checked = bound is not None and (key[1], n) in session._bound_checked
-    if cached is not None and (bound is None or checked):
+    if cached is not None:
         return cached
-    if cached is None:
-        session.fuel.spend(f"g_eval({y.name})")
+    session.fuel.spend(f"g_eval({y.name})")
     if len(s) >= n:
-        value = cached if cached is not None else y.apply(pad(s, 0))
+        value = y.apply(pad(s, 0))
     else:
         items = s.items
         k = len(items)
+        bound = session.bound
 
         def gen(i: int) -> int:
             if i < k:
                 return items[i]
             if i == k:
                 return 0
-            child = g_eval(y, extend(s, i - k), n, session, bound)
+            child = g_eval(y, extend(s, i - k), n, session)
             if bound is not None and child > bound.value_at(i):
                 raise BoundExceeded(
                     f"child value {child} at position {i} exceeds bound "
@@ -221,15 +221,7 @@ def g_eval(
                 )
             return child
 
-        if cached is not None:
-            # Value already known; re-walk the children once more only to
-            # run the bound checks along this read path.
-            y.apply(Point(gen, name=f"g-bound-check {list(items)}@{n}"))
-            value = cached
-        else:
-            value = y.apply(Point(gen, name=f"g-block {list(items)}@{n}"))
-    if bound is not None:
-        session._bound_checked.add((key[1], n))
+        value = y.apply(Point(gen, name=f"g-block {list(items)}@{n}"))
     session.memo_put(key, value)
     return value
 
@@ -710,10 +702,8 @@ def certified_depth_bounded(
     lifted = Point(lambda i: max(h.value_at(i), w), name=f"lifted {h.name}")
     n_cert = len(s) + full_fan_modulus(y, lifted, session.fuel)
     check = session.child()
-    values = [
-        g_eval(y, s, n, check, bound=lifted)
-        for n in range(n_cert, n_cert + session.window + 1)
-    ]
+    check.bound = lifted
+    values = [g_eval(y, s, n, check) for n in range(n_cert, n_cert + session.window + 1)]
     if any(v != values[0] for v in values):
         raise InvariantViolation(
             f"certified depth {n_cert} for {y.name} at {list(s.items)} is not stable"

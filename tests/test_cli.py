@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +27,7 @@ from gandyhyland.cli.dsl import (
     parse_spec,
     render,
 )
+from gandyhyland.cli.checks import CheckResult
 from gandyhyland.cli.fixtures import parse_seq
 from gandyhyland.cli.main import (
     RESULTS_SCHEMA,
@@ -166,6 +171,101 @@ def test_run_command_records_inputs():
     assert record.inputs["pad"] == 1
     assert record.inputs["value_cap"] == 3
     assert record.inputs["tail_cap"] == 2
+
+
+FUEL = RunConfig().fuel
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg,expected",
+    [
+        ("eval-gh", RunConfig(fixture="sum01", seq="0,2"),
+         {"functional": "sum01", "seq": [0, 2], "fuel": FUEL}),
+        ("h", RunConfig(expr="f(0)+1", depth=2),
+         {"functional": "f(0)+1", "seq": [], "depth": 2, "fuel": FUEL}),
+        ("g", RunConfig(fixture="flag-epsilon", m0=4, seq="1", depth=3),
+         {"functional": "flag-epsilon", "m0": 4, "seq": [1], "depth": 3, "fuel": FUEL}),
+        ("stabilize", RunConfig(fixture="nest", fuel=50_000),
+         {"functional": "nest", "seq": [], "fuel": 50_000}),
+        ("fan", RunConfig(fixture="flag-gamma", m0=3),
+         {"functional": "flag-gamma", "m0": 3, "fuel": FUEL}),
+        ("full-fan", RunConfig(fixture="proj3", hconst=5),
+         {"functional": "proj3", "hconst": 5, "fuel": FUEL}),
+        ("special-fan", RunConfig(expr="f(0)+1"), {"functional": "f(0)+1", "fuel": FUEL}),
+        ("scf-check", RunConfig(fixture="const2", tree="full-3"),
+         {"functional": "const2", "depth": None, "tree": "full-3", "fuel": FUEL}),
+        ("pwc", RunConfig(fixture="proj1", hconst=1, seq="1", pad_value=2),
+         {"functional": "proj1", "seq": [1], "pad": 2, "hconst": 1, "fuel": FUEL}),
+        ("ghs", RunConfig(fixture="flag-gamma", m0=3, pad_value=1),
+         {"functional": "flag-gamma", "m0": 3, "seq": [], "pad": 1, "value_cap": 3,
+          "tail_cap": 2, "fuel": FUEL}),
+        ("trace", RunConfig(fixture="sum01", seq="0,2", trace_path="run.trace"),
+         {"functional": "sum01", "seq": [0, 2], "trace": "run.trace", "fuel": FUEL}),
+        ("replay", RunConfig(seq="0,2", trace_path="run.trace"),
+         {"seq": [0, 2], "trace": "run.trace", "fuel": FUEL}),
+        ("mu", RunConfig(seq="1,1,0", fuel=500), {"seq": [1, 1, 0], "pad": 0, "fuel": 500}),
+    ],
+)
+def test_run_command_records_exactly_its_inputs(tmp_path, monkeypatch, cmd, cfg, expected):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(cmd, cfg).inputs == expected
+
+
+def test_run_command_refuses_an_unknown_command():
+    with pytest.raises(ValueError):
+        run_command("no-such", RunConfig())
+
+
+def _readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """(command line, expected stdout lines) for each `$ gandyhyland` line
+    of the first fenced block under the README's "## CLI" heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ gandyhyland "):
+            examples.append((line.removeprefix("$ gandyhyland "), []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) == 7
+    for command, expected in examples:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
+
+
+@pytest.mark.parametrize("second_passes,code", [(False, 1), (True, 0)])
+def test_check_all_prints_each_check_and_exits_by_the_verdict(
+    monkeypatch, capsys, second_passes, code
+):
+    results = [
+        CheckResult(name="alpha", passed=True, detail="fine", seconds=0.0012),
+        CheckResult(name="beta", passed=second_passes, detail="broke", seconds=0.5),
+    ]
+    monkeypatch.setattr(sys.modules[main.__module__], "run_all", lambda: results)
+    assert main(["check-all"]) == code
+    mark = "PASS" if second_passes else "FAIL"
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS alpha (0.001s): fine",
+        f"{mark} beta (0.500s): broke",
+        f"{1 + second_passes}/2 checks passed",
+    ]
+
+
+@pytest.mark.parametrize("module", ["gandyhyland", "gandyhyland.cli.main"])
+def test_python_dash_m_runs_without_warnings(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "mu", "--seq", "1,1,0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "mu: 2\n", "")
 
 
 def test_run_command_embeds_evaluation_errors():

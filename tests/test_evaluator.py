@@ -368,9 +368,11 @@ def test_certified_depth_dominates_stabilization():
 
 def test_bound_checking_trips_on_a_tall_child():
     y = functional_fixture("sum01")
+    low, high = make_session(), make_session()
+    low.bound, high.bound = constant_point(0), constant_point(9)
     with pytest.raises(BoundExceeded):
-        g_eval(y, EMPTY, 1, make_session(), bound=constant_point(0))
-    assert g_eval(y, EMPTY, 1, make_session(), bound=constant_point(9)) == 1
+        g_eval(y, EMPTY, 1, low)
+    assert g_eval(y, EMPTY, 1, high) == 1
 
 
 def test_memo_is_observationally_transparent():
