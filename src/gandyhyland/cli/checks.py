@@ -234,8 +234,8 @@ def check_mu_round_trips() -> Iterator[str]:
 
 def _mutated(witness, group: str, index: int) -> HerbrandWitness:
     probes = {name: list(entries) for name, entries in witness.probes.items()}
-    prefix, answer = probes[group][index]
-    probes[group][index] = (prefix, answer + 1)
+    reads, answer = probes[group][index]
+    probes[group][index] = (reads, answer + 1)
     return HerbrandWitness(
         probes=probes,
         depth=witness.depth,
@@ -272,7 +272,7 @@ def check_herbrand_replay() -> Iterator[str]:
     if traces:
         witness, s, _ = traces[0]
         padded = {k: list(v) for k, v in witness.probes.items()}
-        padded["apply"] = padded["apply"] + [((9, 9, 9, 9, 9, 9, 9, 9, 9, 9), 42)]
+        padded["apply"] = padded["apply"] + [(tuple((i, 9) for i in range(10)), 42)]
         extra = HerbrandWitness(
             probes=padded,
             depth=witness.depth,

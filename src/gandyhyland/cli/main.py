@@ -139,7 +139,7 @@ def read_json(path: str) -> list[ResultRecord]:
 
 
 def write_trace(witness: HerbrandWitness, path: str) -> None:
-    payload = {"schema": TRACE_SCHEMA, "version": 1, "witness": witness.as_dict()}
+    payload = {"schema": TRACE_SCHEMA, "version": 2, "witness": witness.as_dict()}
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -158,10 +158,11 @@ def read_trace(path: str) -> HerbrandWitness:
         raise IoError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != TRACE_SCHEMA:
         raise IoError(f"{path}: not a trace file")
-    if payload.get("version") != 1:
-        raise IoError(f"{path}: unsupported trace version {payload.get('version')!r}")
+    version = payload.get("version")
+    if version not in (1, 2):
+        raise IoError(f"{path}: unsupported trace version {version!r}")
     try:
-        return HerbrandWitness.from_dict(payload.get("witness"))
+        return HerbrandWitness.from_dict(payload.get("witness"), version)
     except IoError as exc:
         raise IoError(f"{path}: {exc}") from None
 

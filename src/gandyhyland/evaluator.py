@@ -378,23 +378,27 @@ def modulus_from_ghs(
     return ghs_witness(y, f, session, value_cap=value_cap, tail_cap=tail_cap)
 
 
-# Herbrand-style tracing: record every oracle answer a run consumed, then
-# replay the run against the record alone.
+# Herbrand-style tracing: record what every oracle call of a run read and
+# answered, then replay the run against the record alone. A dialogue is
+# the (position, value) reads of one call, in the order it made them.
+Dialogue = tuple[tuple[int, int], ...]
+
 
 @dataclass
 class HerbrandWitness:
     """Finite record of one gamma_eval run.
 
     probes maps a group name (apply, modulus, theta) to the list of
-    (consumed prefix, answer) pairs in first-seen order; depth and result
-    are the stabilization depth and stable value of the traced run;
-    trajectory holds (depth, truncating value, non-truncating value) for
-    every depth the stabilization search visited. The trajectory matters
-    for tamper detection: an answer consumed only below the settling depth
-    leaves depth and result alone but shows up as a changed entry here.
+    (dialogue, answer) rows in first-seen order; gamma_eval only applies
+    Y, so only apply is filled. depth and result are the stabilization
+    depth and stable value of the traced run; trajectory holds (depth,
+    truncating value, non-truncating value) for every depth the
+    stabilization search visited. The trajectory matters for tamper
+    detection: an answer consumed only below the settling depth leaves
+    depth and result alone but shows up as a changed entry here.
     """
 
-    probes: dict[str, list[tuple[tuple[int, ...], int]]]
+    probes: dict[str, list[tuple[Dialogue, int]]]
     depth: int
     result: int
     trajectory: list[tuple[int, int, int]]
@@ -402,7 +406,7 @@ class HerbrandWitness:
     def as_dict(self) -> dict:
         return {
             "probes": {
-                group: [[list(prefix), answer] for prefix, answer in entries]
+                group: [[[list(read) for read in reads], answer] for reads, answer in entries]
                 for group, entries in self.probes.items()
             },
             "depth": self.depth,
@@ -411,35 +415,36 @@ class HerbrandWitness:
         }
 
     @staticmethod
-    def from_dict(d: object) -> "HerbrandWitness":
-        """Inverse of as_dict; IoError if d does not have its shape."""
+    def from_dict(d: object, version: int = 2) -> "HerbrandWitness":
+        """Inverse of as_dict; IoError if d does not have its shape. A
+        version-1 row holds the dense prefix p up to the deepest read in
+        place of a dialogue, and is read as the dialogue enumerate(p)."""
         if not isinstance(d, dict) or not isinstance(d.get("probes"), dict):
             raise IoError("malformed witness: expected an object whose probes map groups to rows")
+        is_read = _is_natural if version == 1 else lambda read: _is_naturals(read, 2)
         for group, entries in d["probes"].items():
             if not isinstance(entries, list) or not all(
                 isinstance(row, list)
                 and len(row) == 2
                 and isinstance(row[0], list)
-                and all(map(_is_natural, row[0]))
+                and all(map(is_read, row[0]))
                 and _is_natural(row[1])
                 for row in entries
             ):
                 raise IoError(
-                    f"malformed witness: probes.{group} rows must be "
-                    "[list of naturals, natural]"
+                    f"malformed witness: probes.{group} rows must be [list of "
+                    f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
                 )
         for name in ("depth", "result"):
             if not _is_natural(d.get(name)):
                 raise IoError(f"malformed witness: {name} must be a natural")
         trajectory = d.get("trajectory")
-        if not isinstance(trajectory, list) or not all(
-            isinstance(step, list) and len(step) == 3 and all(map(_is_natural, step))
-            for step in trajectory
-        ):
+        if not isinstance(trajectory, list) or not all(_is_naturals(t, 3) for t in trajectory):
             raise IoError("malformed witness: trajectory rows must be three naturals")
+        as_dialogue = enumerate if version == 1 else lambda reads: map(tuple, reads)
         return HerbrandWitness(
             probes={
-                group: [(tuple(prefix), answer) for prefix, answer in entries]
+                group: [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]
                 for group, entries in d["probes"].items()
             },
             depth=d["depth"],
@@ -452,57 +457,50 @@ def _is_natural(x: object) -> bool:
     return type(x) is int and x >= 0
 
 
-class _Recorder:
-    """Wraps a functional's operations to log consumed prefixes.
+def _is_naturals(x: object, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length and all(map(_is_natural, x))
 
-    The recorded prefix of a call is everything up to the deepest position
-    the operation read; snapshotting it forces any skipped positions in
-    between, which keeps trace and replay forcing the same child values.
-    Repeated prefixes must repeat their answer (the operations are
+
+class _Recorder:
+    """Wraps a functional's operations to log the dialogue of each call.
+
+    A call's row is the (position, value) pairs the operation read, in the
+    order it read them, and its answer. The wrapper point caches, so each
+    position is logged once; positions the operation skipped are never
+    forced. Equal dialogues must repeat their answer (the operations are
     deterministic) and are stored once.
     """
 
     def __init__(self) -> None:
-        self.tables: dict[str, dict[tuple[int, ...], int]] = {
-            "apply": {},
-            "modulus": {},
-            "theta": {},
-        }
+        self.tables: dict[str, dict[Dialogue, int]] = {g: {} for g in ("apply", "modulus", "theta")}
 
     def wrap(self, group: str, inner: Callable[[Point], int]) -> Callable[[Point], int]:
         table = self.tables[group]
 
         def wrapped(point: Point) -> int:
-            deepest = {"i": -1}
+            reads: list[tuple[int, int]] = []
 
             def gen(i: int) -> int:
-                if i > deepest["i"]:
-                    deepest["i"] = i
-                return point.value_at(i)
+                v = point.value_at(i)
+                reads.append((i, v))
+                return v
 
             answer = inner(Point(gen, name=f"traced {point.name}"))
-            prefix = tuple(point.value_at(i) for i in range(deepest["i"] + 1))
-            prev = table.setdefault(prefix, answer)
+            dialogue = tuple(reads)
+            prev = table.setdefault(dialogue, answer)
             if prev != answer:
                 raise InvariantViolation(
-                    f"{group} answered {prev} then {answer} on equal prefix {prefix}"
+                    f"{group} answered {prev} then {answer} on equal reads {dialogue}"
                 )
             return answer
 
         return wrapped
 
-    def witness_tables(self) -> dict[str, list[tuple[tuple[int, ...], int]]]:
-        return {group: list(table.items()) for group, table in self.tables.items()}
-
 
 def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWitness:
     """Run gamma_eval at s on a fresh session, recording every oracle call."""
     recorder = _Recorder()
-    wrapped = Functional(
-        apply=recorder.wrap("apply", y.apply),
-        modulus=recorder.wrap("modulus", y.modulus) if y.modulus is not None else None,
-        name=f"traced {y.name}",
-    )
+    wrapped = Functional(apply=recorder.wrap("apply", y.apply), name=f"traced {y.name}")
     fresh = session.child()
     result = gamma_eval(wrapped, s, fresh)
     depth = fresh.gamma_depth(s)
@@ -513,47 +511,49 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
         for n in range(depth + fresh.window + 1)
     ]
     return HerbrandWitness(
-        probes=recorder.witness_tables(),
+        probes={group: list(table.items()) for group, table in recorder.tables.items()},
         depth=depth,
         result=result,
         trajectory=trajectory,
     )
 
 
-def _stub_operation(
-    entries: list[tuple[tuple[int, ...], int]], group: str
-) -> Callable[[Point], int]:
-    """Answer by longest recorded prefix matching the argument point.
+def _stub_operation(entries: list[tuple[Dialogue, int]], group: str) -> Callable[[Point], int]:
+    """Answer by the recorded dialogue the argument point follows.
 
-    The entries are built once into a prefix trie: a node is [answer,
-    children], where answer is the last recorded answer for the prefix
-    spelled by the path to it (None if that prefix was not recorded) and
-    children maps the next value to the next node. A lookup walks the trie
-    along the point, remembering the deepest answer it has passed, and
-    reads position i only while the node at depth i has children, that is,
-    while some strictly longer recorded prefix still agrees with the point.
-    A run that mirrors the traced one therefore forces exactly the
-    positions the trace forced. A point matching no recorded prefix raises
-    OutOfTableQuery.
+    The entries are built once into a decision tree: a node is [answer,
+    position, children], where answer is the last recorded answer for the
+    reads spelled by the path to it (None if no row ends there), position
+    is the one read next and children maps the value read to the next
+    node. The first row through a node fixes its position; a later row
+    asking another position there is ignored, so replay fails closed. A
+    lookup follows the point down the tree and returns the deepest answer
+    it passed: for version-1 rows, whose dialogues read 0, 1, ... in
+    order, the answer of the longest matching prefix. A run that mirrors
+    the traced one reads exactly the positions the trace read. A point
+    matching no row raises OutOfTableQuery.
     """
-    root: list = [None, {}]
-    for prefix, answer in entries:
+    root: list = [None, None, {}]
+    for reads, answer in entries:
         node = root
-        for v in prefix:
-            node = node[1].setdefault(v, [None, {}])
-        node[0] = answer
+        for position, value in reads:
+            if node[1] is None:
+                node[1] = position
+            elif node[1] != position:
+                break
+            node = node[2].setdefault(value, [None, None, {}])
+        else:
+            node[0] = answer
 
     def lookup(point: Point) -> int:
-        best, children = root
-        i = 0
-        while children:
-            node = children.get(point.value_at(i))
+        best, position, children = root
+        while position is not None:
+            node = children.get(point.value_at(position))
             if node is None:
                 break
-            if node[0] is not None:
-                best = node[0]
-            children = node[1]
-            i += 1
+            answer, position, children = node
+            if answer is not None:
+                best = answer
         if best is None:
             raise OutOfTableQuery(f"no recorded {group} answer matches the argument")
         return best
@@ -570,13 +570,7 @@ def replay_check(w: HerbrandWitness, s: FinSeq, session: EvalSession) -> bool:
     the equation check (reported as False), or runs off its own table
     (OutOfTableQuery propagates).
     """
-    apply_entries = w.probes.get("apply", [])
-    modulus_entries = w.probes.get("modulus", [])
-    stub = Functional(
-        apply=_stub_operation(apply_entries, "apply"),
-        modulus=_stub_operation(modulus_entries, "modulus") if modulus_entries else None,
-        name="replay stub",
-    )
+    stub = Functional(apply=_stub_operation(w.probes.get("apply", []), "apply"), name="replay stub")
     fresh = session.child()
     try:
         result = gamma_eval(stub, s, fresh)

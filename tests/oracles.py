@@ -174,3 +174,16 @@ def brute_longest_prefix_answer(
             if best is None or len(prefix) >= best[0]:
                 best = (len(prefix), answer)
     return None if best is None else best[1]
+
+
+def brute_dialogue_answer(
+    entries: list[tuple[tuple[tuple[int, int], ...], int]], values: list[int]
+) -> int | None:
+    """Answer of the last row whose every (position, value) read agrees
+    with values; None when no row agrees. values must cover every
+    position a row reads."""
+    answer = None
+    for dialogue, row_answer in entries:
+        if all(values[position] == value for position, value in dialogue):
+            answer = row_answer
+    return answer

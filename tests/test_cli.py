@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gandyhyland import FinSeq, Point
+from gandyhyland import (
+    EMPTY,
+    EvalSession,
+    FinSeq,
+    Point,
+    gamma_eval,
+    herbrand_trace,
+    make_session,
+    replay_check,
+)
 from gandyhyland.errors import ArityError, IoError, ParseError
 from gandyhyland.cli.dsl import (
     Add,
@@ -28,7 +37,7 @@ from gandyhyland.cli.dsl import (
     render,
 )
 from gandyhyland.cli.checks import CheckResult
-from gandyhyland.cli.fixtures import parse_seq
+from gandyhyland.cli.fixtures import expr_functional, parse_seq
 from gandyhyland.cli.main import (
     RESULTS_SCHEMA,
     ResultRecord,
@@ -364,6 +373,66 @@ def test_trace_then_replay(tmp_path):
     assert main(["replay", "--seq", "0,2", "--trace", path]) == 0
 
 
+def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys, monkeypatch):
+    # The probe at position 12 skips positions 1..11; a trace that forced
+    # them cost exponential work and ran out of fuel here.
+    path = str(tmp_path / "deep.trace")
+    assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", path]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--window", "14", "--trace", path]) == 0
+    assert capsys.readouterr().out == "replay: true\n"
+
+    children: list[EvalSession] = []
+    child = EvalSession.child
+
+    def recording_child(self: EvalSession) -> EvalSession:
+        children.append(child(self))
+        return children[-1]
+
+    monkeypatch.setattr(EvalSession, "child", recording_child)
+    y = expr_functional("f(12)+1")
+    session = make_session(window=14)
+    assert gamma_eval(y, EMPTY, session) == 13
+    witness = herbrand_trace(y, EMPTY, make_session(window=14))
+    assert replay_check(witness, EMPTY, make_session(window=14))
+    spent = [s.fuel.budget - s.fuel.remaining for s in (session, *children)]
+    assert spent == [546, 546, 546]
+
+
+# Version-1 trace files, written by the tracer that stored each call as the
+# dense prefix up to the deepest position read; each maps `trace --fixture
+# F --seq S` to (S, the file).
+V1_TRACES = {
+    "sum01-at-0,2": ("0,2",
+     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
+     '[[[0, 2], 2], [[0, 0], 0]], "modulus": [], "theta": []}, "depth": 2, "result": 2, '
+     '"trajectory": [[0, 0, 2], [1, 0, 2], [2, 2, 2], [3, 2, 2], [4, 2, 2], [5, 2, 2], '
+     '[6, 2, 2]]}}\n'),
+    "sum01-at-1": ("1",
+     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
+     '[[[1, 0], 1], [[0, 0], 0]], "modulus": [], "theta": []}, "depth": 1, "result": 1, '
+     '"trajectory": [[0, 0, 1], [1, 1, 1], [2, 1, 1], [3, 1, 1], [4, 1, 1], [5, 1, 1]]}}\n'),
+    "flag-gamma-m0=3-at-1": ("1",
+     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
+     '[[[1, 0, 0, 0], 0], [[0, 0, 0, 0], 0], [[1, 1, 0, 0], 0], [[1, 2, 0, 0], 0], '
+     '[[1, 1, 1, 0], 0], [[1, 2, 1, 0], 0]], "modulus": [], "theta": []}, "depth": 0, '
+     '"result": 0, "trajectory": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]]}}\n'),
+}
+
+
+@pytest.mark.parametrize("seq, text", V1_TRACES.values(), ids=V1_TRACES)
+def test_version_1_traces_still_replay_and_catch_a_raised_answer(tmp_path, seq, text):
+    path = tmp_path / "v1.trace"
+    path.write_text(text)
+    assert main(["replay", "--seq", seq, "--trace", str(path)]) == 0
+    rows = json.loads(text)["witness"]["probes"]["apply"]
+    for index in range(len(rows)):
+        payload = json.loads(text)
+        payload["witness"]["probes"]["apply"][index][1] += 1
+        path.write_text(json.dumps(payload))
+        assert main(["replay", "--seq", seq, "--trace", str(path)]) == 1, index
+
+
 def test_replay_rejects_a_tampered_trace_file(tmp_path):
     path = tmp_path / "run.trace"
     assert main(["trace", "--fixture", "nest", "--trace", str(path)]) == 0
@@ -386,7 +455,7 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
         lambda payload: payload["witness"].update(trajectory=[[0]]),
         lambda payload: payload["witness"].update(probes=[]),
         lambda payload: payload["witness"]["probes"].update(apply=[[0]]),
-        lambda payload: payload.update(version=2),
+        lambda payload: payload.update(version=3),
     ],
     ids=[
         "no-witness",
@@ -394,7 +463,7 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
         "short-trajectory-row",
         "probes-list",
         "one-element-row",
-        "version-2",
+        "version-3",
     ],
 )
 def test_replay_of_a_malformed_trace_is_an_io_error(tmp_path, capsys, edit):

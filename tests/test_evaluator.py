@@ -67,6 +67,7 @@ from oracles import (
     STABILIZE_EPSILON3_EMPTY,
     STABILIZE_SUM01_EMPTY,
     ZERO_AT_20_EXT_WITNESS,
+    brute_dialogue_answer,
     brute_gamma,
     brute_longest_prefix_answer,
 )
@@ -259,7 +260,7 @@ def test_replay_ignores_unreachable_extra_rows():
     y = functional_fixture("nest")
     w = herbrand_trace(y, EMPTY, make_session())
     probes = dict(w.probes)
-    probes["apply"] = list(probes["apply"]) + [((9,) * 10, 42)]
+    probes["apply"] = list(probes["apply"]) + [(tuple((i, 9) for i in range(10)), 42)]
     padded = HerbrandWitness(
         probes=probes, depth=w.depth, result=w.result, trajectory=list(w.trajectory)
     )
@@ -274,7 +275,7 @@ def test_witness_survives_json():
     assert replay_check(back, FinSeq((1,)), make_session())
 
 
-def _stub_answer_and_reads(entries, values: list[int], tail: int):
+def _ask_stub(dialogues, values: list[int], tail: int):
     """Ask the stub at values padded with tail; return (answer or None,
     the set of positions it read)."""
     reads: set[int] = set()
@@ -284,10 +285,16 @@ def _stub_answer_and_reads(entries, values: list[int], tail: int):
         return values[i] if i < len(values) else tail
 
     try:
-        answer = _stub_operation(entries, "apply")(Point(gen, name="counting"))
+        answer = _stub_operation(dialogues, "apply")(Point(gen, name="counting"))
     except OutOfTableQuery:
         answer = None
     return answer, reads
+
+
+def _stub_answer_and_reads(entries, values: list[int], tail: int):
+    """_ask_stub on dense prefixes, each read as the dialogue enumerate(prefix)."""
+    dialogues = [(tuple(enumerate(prefix)), answer) for prefix, answer in entries]
+    return _ask_stub(dialogues, values, tail)
 
 
 _PREFIXES = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple)
@@ -321,6 +328,56 @@ def test_stub_edge_cases():
     # No matching prefix is an out-of-table query.
     assert _stub_answer_and_reads([((1,), 3)], [0], 0) == (None, {0})
     assert _stub_answer_and_reads([], [], 0) == (None, set())
+    # A row asking another position where an earlier row read is ignored,
+    # at the root and further down.
+    assert _ask_stub([(((0, 1),), 4), (((1, 1),), 5)], [1, 1], 0) == (4, {0})
+    assert _ask_stub([(((0, 1),), 4), (((1, 1),), 5)], [0, 1], 0) == (None, {0})
+    clash = [(((2, 1), (0, 3)), 4), (((2, 1), (1, 3)), 5)]
+    assert _ask_stub(clash, [3, 3, 1], 0) == (4, {0, 2})
+    assert _ask_stub(clash, [0, 3, 1], 0) == (None, {0, 2})
+
+
+@st.composite
+def _decision_tables(draw):
+    """The rows of a random decision tree over positions 0..5 and values
+    0..2, in random order, then a few rows repeated with new answers.
+    Each inner node reads a position its path has not read yet, so the
+    read order differs from branch to branch, as an adaptive Y's does."""
+    rows = []
+
+    def grow(reads):
+        if len(reads) == 3 or draw(st.booleans()):
+            rows.append((tuple(reads), draw(st.integers(min_value=0, max_value=9))))
+            return
+        read = {position for position, _ in reads}
+        position = draw(st.sampled_from([p for p in range(6) if p not in read]))
+        for value in sorted(draw(st.sets(st.integers(min_value=0, max_value=2), min_size=1))):
+            grow(reads + [(position, value)])
+
+    grow([])
+    repeats = draw(st.lists(
+        st.tuples(st.sampled_from(rows), st.integers(min_value=0, max_value=9)), max_size=3
+    ))
+    return draw(st.permutations(rows)) + [(row[0], answer) for row, answer in repeats]
+
+
+@given(
+    entries=_decision_tables(),
+    values=st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
+)
+def test_stub_follows_the_dialogue_the_point_agrees_with(entries, values):
+    answer, reads = _ask_stub(entries, values, 0)
+    assert answer == brute_dialogue_answer(entries, values)
+    # Every row is read up to its first disagreement with the point: the
+    # rows share the point's path through the tree until they leave it,
+    # so this is exactly the matching dialogue's positions when one matches.
+    expected: set[int] = set()
+    for dialogue, _ in entries:
+        for position, value in dialogue:
+            expected.add(position)
+            if values[position] != value:
+                break
+    assert reads == expected
 
 
 def _gamma_closure(assoc):
@@ -415,6 +472,19 @@ def test_memo_keys_are_observationally_transparent(tree, start, depth):
         for n in range(depth + 1):
             assert evaluate(y, start, n, with_memo) == evaluate(y, start, n, without), n
     assert gamma_eval(y, start, with_memo) == gamma_eval(y, start, without)
+
+
+@given(
+    tree=_SHALLOW_AST,
+    start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
+)
+def test_trace_then_replay_certifies(tree, start):
+    y = functional_from_ast(tree)
+    w = herbrand_trace(y, start, make_session())
+    assert w.result == gamma_eval(y, start, make_session())
+    back = HerbrandWitness.from_dict(json.loads(json.dumps(w.as_dict())))
+    assert back == w
+    assert replay_check(back, start, make_session())
 
 
 def test_memo_is_write_once():
