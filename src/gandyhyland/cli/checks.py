@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterator
 
@@ -39,6 +39,7 @@ from ..functionals import (
     Fuel,
     associate_apply,
     check_neighbourhood,
+    enumerate_sequences,
     functional_from_associate,
     modulus_from_associate,
     mu,
@@ -94,13 +95,6 @@ def _check(name: str, passing_detail: str):
     return register
 
 
-def _grid(max_len: int = 3, width: int = 3) -> list[FinSeq]:
-    out = [FinSeq(())]
-    for length in range(1, max_len + 1):
-        out.extend(FinSeq(items) for items in product(range(width), repeat=length))
-    return out
-
-
 @_check(
     "golden-values",
     "empty-start value 0, one-padded depth m0-2 value 1, associate 0 and m0 at the beta points",
@@ -131,7 +125,7 @@ def check_golden_values() -> Iterator[str]:
 )
 def check_gh_fixed_point() -> Iterator[str]:
     """Depth limits agree across a window and satisfy the defining equation."""
-    grid = _grid()
+    grid = enumerate_sequences(3, 3)
     for y in catalog_functionals():
         session = make_session()
         for s in grid:
@@ -232,16 +226,11 @@ def check_mu_round_trips() -> Iterator[str]:
         yield "witness route did not fall back to 0 on a zero-free point"
 
 
-def _mutated(witness, group: str, index: int) -> HerbrandWitness:
-    probes = {name: list(entries) for name, entries in witness.probes.items()}
-    reads, answer = probes[group][index]
-    probes[group][index] = (reads, answer + 1)
-    return HerbrandWitness(
-        probes=probes,
-        depth=witness.depth,
-        result=witness.result,
-        trajectory=list(witness.trajectory),
-    )
+def _mutated(witness: HerbrandWitness, index: int) -> HerbrandWitness:
+    rows = list(witness.probes["apply"])
+    reads, answer = rows[index]
+    rows[index] = (reads, answer + 1)
+    return replace(witness, probes={"apply": rows})
 
 
 @_check(
@@ -260,25 +249,17 @@ def check_herbrand_replay() -> Iterator[str]:
                 continue
             traces.append((witness, s, y.name))
     for witness, s, name in traces:
-        for group, entries in witness.probes.items():
-            for index in range(len(entries)):
-                bad = _mutated(witness, group, index)
-                try:
-                    clean = replay_check(bad, s, make_session())
-                except (OutOfTableQuery, FuelExhausted):
-                    clean = False
-                if clean:
-                    yield f"{name} at {s}: {group}[{index}] mutation slipped through"
+        for index in range(len(witness.probes["apply"])):
+            try:
+                clean = replay_check(_mutated(witness, index), s, make_session())
+            except (OutOfTableQuery, FuelExhausted):
+                clean = False
+            if clean:
+                yield f"{name} at {s}: apply[{index}] mutation slipped through"
     if traces:
         witness, s, _ = traces[0]
-        padded = {k: list(v) for k, v in witness.probes.items()}
-        padded["apply"] = padded["apply"] + [(tuple((i, 9) for i in range(10)), 42)]
-        extra = HerbrandWitness(
-            probes=padded,
-            depth=witness.depth,
-            result=witness.result,
-            trajectory=list(witness.trajectory),
-        )
+        spare = (tuple((i, 9) for i in range(10)), 42)
+        extra = replace(witness, probes={"apply": witness.probes["apply"] + [spare]})
         if not replay_check(extra, s, make_session()):
             yield "an unused extra table row broke replay"
 
@@ -311,7 +292,7 @@ def check_cross_coherence() -> Iterator[str]:
     h2 = constant_point(2, name="h2")
     for y in catalog_functionals():
         session = make_session(fuel_steps=2_000_000)
-        for s in _grid(max_len=2):
+        for s in enumerate_sequences(2, 3):
             n0, _ = stabilize(y, s, session)
             n_cert = certified_depth_bounded(y, s, h2, session)
             if n_cert < n0:
@@ -331,11 +312,11 @@ def check_foundation_laws() -> Iterator[str]:
         if code(decode(n)) != n:
             yield f"coding: decode/code round trip breaks at {n}"
             break
-    for s in _grid(max_len=4):
+    for s in enumerate_sequences(4, 3):
         if decode(code(s)) != s:
             yield f"coding: code/decode round trip breaks at {s}"
             break
-    grid = _grid()
+    grid = enumerate_sequences(3, 3)
     for name in ("const2", "proj0", "proj2", "sum01", "nest", "flag-gamma"):
         y = functional_fixture(name)
         with_memo = make_session(memo_enabled=True)

@@ -138,8 +138,9 @@ def read_json(path: str) -> list[ResultRecord]:
     return [ResultRecord.from_dict(entry) for entry in body]
 
 
-def write_trace(witness: HerbrandWitness, path: str) -> None:
-    payload = {"schema": TRACE_SCHEMA, "version": 2, "witness": witness.as_dict()}
+def write_trace(witness: HerbrandWitness, path: str, run: dict) -> None:
+    """Write the witness and the run it records (start seq, window, nmax)."""
+    payload = {"schema": TRACE_SCHEMA, "version": 2, "run": run, "witness": witness.as_dict()}
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -148,7 +149,8 @@ def write_trace(witness: HerbrandWitness, path: str) -> None:
         raise IoError(str(exc)) from None
 
 
-def read_trace(path: str) -> HerbrandWitness:
+def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
+    """The witness and the recorded run, None in files that predate it."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -161,8 +163,17 @@ def read_trace(path: str) -> HerbrandWitness:
     version = payload.get("version")
     if version not in (1, 2):
         raise IoError(f"{path}: unsupported trace version {version!r}")
+    run = payload.get("run")
+    if run is not None and not (
+        isinstance(run, dict)
+        and set(run) == {"seq", "window", "nmax"}
+        and isinstance(run["seq"], list)
+        and all(type(x) is int and x >= 0 for x in run["seq"])
+        and all(type(run[knob]) is int and run[knob] > 0 for knob in ("window", "nmax"))
+    ):
+        raise IoError(f"{path}: malformed run: expected seq naturals, window and nmax positive")
     try:
-        return HerbrandWitness.from_dict(payload.get("witness"), version)
+        return HerbrandWitness.from_dict(payload.get("witness"), version), run
     except IoError as exc:
         raise IoError(f"{path}: {exc}") from None
 
@@ -281,14 +292,23 @@ def _probe_counts(witness: HerbrandWitness) -> dict:
     return {group: len(entries) for group, entries in witness.probes.items()}
 
 
+def _run(cfg: RunConfig) -> dict:
+    return {"seq": list(_seq(cfg)), "window": cfg.window, "nmax": cfg.nmax}
+
+
 def _trace(cfg: RunConfig):
     witness = herbrand_trace(_functional(cfg), _seq(cfg), _session(cfg))
-    write_trace(witness, _require(cfg.trace_path, "--trace"))
+    write_trace(witness, _require(cfg.trace_path, "--trace"), _run(cfg))
     return {"depth": witness.depth, "result": witness.result}, _probe_counts(witness)
 
 
 def _replay(cfg: RunConfig):
-    witness = read_trace(_require(cfg.trace_path, "--trace"))
+    witness, run = read_trace(_require(cfg.trace_path, "--trace"))
+    if run is not None and run != _run(cfg):
+        raise ValueError(
+            f"the trace was recorded with --seq {','.join(map(str, run['seq']))!r} "
+            f"--window {run['window']} --nmax {run['nmax']}; replay it with the same values"
+        )
     return replay_check(witness, _seq(cfg), _session(cfg)), _probe_counts(witness)
 
 

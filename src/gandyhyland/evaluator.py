@@ -25,7 +25,7 @@ branching tree. Every forced node costs one fuel step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable
 
@@ -79,20 +79,16 @@ class EvalSession:
     nmax: int = 64
     memo_enabled: bool = True
     bound: Point | None = None
-    _values: dict[MemoKey, int] = field(default_factory=dict, repr=False)
-    _gamma: dict[tuple[int, ...], tuple[int, int]] = field(default_factory=dict, repr=False)
-    _gamma_checked: set[tuple[int, ...]] = field(default_factory=set, repr=False)
-    _owner: Functional | None = field(default=None, repr=False)
+    _values: dict[MemoKey, int] = field(default_factory=dict, init=False, repr=False)
+    _gamma: dict[tuple[int, ...], tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _gamma_checked: set[tuple[int, ...]] = field(default_factory=set, init=False, repr=False)
+    _owner: Functional | None = field(default=None, init=False, repr=False)
 
     def child(self) -> EvalSession:
         """Same knobs, fresh fuel and fresh tables."""
-        return EvalSession(
-            fuel=Fuel(self.fuel.budget),
-            window=self.window,
-            nmax=self.nmax,
-            memo_enabled=self.memo_enabled,
-            bound=self.bound,
-        )
+        return replace(self, fuel=Fuel(self.fuel.budget))
 
     def claim(self, y: Functional) -> None:
         if self._owner is None:
@@ -118,15 +114,11 @@ class EvalSession:
         return self._gamma[s.items][0]
 
 
-def make_session(
-    fuel_steps: int = DEFAULT_SESSION_FUEL,
-    window: int = 4,
-    nmax: int = 64,
-    memo_enabled: bool = True,
-) -> EvalSession:
-    return EvalSession(
-        fuel=Fuel(fuel_steps), window=window, nmax=nmax, memo_enabled=memo_enabled
-    )
+def make_session(fuel_steps: int = DEFAULT_SESSION_FUEL, **knobs) -> EvalSession:
+    """A session with fuel_steps of fresh fuel. The keyword knobs (window,
+    nmax, memo_enabled, bound) go to EvalSession; any left out keeps the
+    default its field declares."""
+    return EvalSession(fuel=Fuel(fuel_steps), **knobs)
 
 
 def _depth_eval(
@@ -304,11 +296,13 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
 def _ghs_candidates(
     alpha: Point, m: int, value_cap: int, tail_cap: int
 ) -> list[FinSeq]:
-    """Sequences whose zero-padding agrees with alpha on the first m values.
+    """Sequences whose zero-padding agrees with alpha on the first m values
+    and whose entries are all at most value_cap.
 
-    Exactly the prefixes of alpha (where the dropped part of alpha is zero)
-    and the length-m prefix extended by every short tail; the tail length
-    is capped, all entries are capped.
+    Exactly the prefixes of alpha whose dropped part of the first m values
+    is zero, then the length-m prefix extended by every tail of length 1 to
+    tail_cap. No sequence comes twice: the prefixes have distinct lengths
+    up to m, and the extensions are longer than m and distinct by tail.
     """
     out: list[FinSeq] = []
     for j in range(m + 1):
@@ -318,16 +312,7 @@ def _ghs_candidates(
     for tlen in range(1, tail_cap + 1):
         for tail in product(range(value_cap + 1), repeat=tlen):
             out.append(concat(prefix, FinSeq(tail)))
-    seen: set[tuple[int, ...]] = set()
-    kept: list[FinSeq] = []
-    for s in out:
-        if any(x > value_cap for x in s.items):
-            continue
-        if s.items in seen:
-            continue
-        seen.add(s.items)
-        kept.append(s)
-    return kept
+    return [s for s in out if all(x <= value_cap for x in s.items)]
 
 
 def ghs_witness(
@@ -388,14 +373,15 @@ Dialogue = tuple[tuple[int, int], ...]
 class HerbrandWitness:
     """Finite record of one gamma_eval run.
 
-    probes maps a group name (apply, modulus, theta) to the list of
-    (dialogue, answer) rows in first-seen order; gamma_eval only applies
-    Y, so only apply is filled. depth and result are the stabilization
-    depth and stable value of the traced run; trajectory holds (depth,
-    truncating value, non-truncating value) for every depth the
-    stabilization search visited. The trajectory matters for tamper
-    detection: an answer consumed only below the settling depth leaves
-    depth and result alone but shows up as a changed entry here.
+    probes holds one answer table, under "apply": the (dialogue, answer)
+    rows of Y's calls in first-seen order. gamma_eval only ever applies Y,
+    so no other group exists; the key keeps the trace file's shape
+    probes.apply. depth and result are the stabilization depth and stable
+    value of the traced run; trajectory holds (depth, truncating value,
+    non-truncating value) for every depth the stabilization search
+    visited. The trajectory matters for tamper detection: an answer
+    consumed only below the settling depth leaves depth and result alone
+    but shows up as a changed entry here.
     """
 
     probes: dict[str, list[tuple[Dialogue, int]]]
@@ -406,8 +392,10 @@ class HerbrandWitness:
     def as_dict(self) -> dict:
         return {
             "probes": {
-                group: [[[list(read) for read in reads], answer] for reads, answer in entries]
-                for group, entries in self.probes.items()
+                "apply": [
+                    [[list(read) for read in reads], answer]
+                    for reads, answer in self.probes["apply"]
+                ]
             },
             "depth": self.depth,
             "result": self.result,
@@ -418,23 +406,25 @@ class HerbrandWitness:
     def from_dict(d: object, version: int = 2) -> "HerbrandWitness":
         """Inverse of as_dict; IoError if d does not have its shape. A
         version-1 row holds the dense prefix p up to the deepest read in
-        place of a dialogue, and is read as the dialogue enumerate(p)."""
+        place of a dialogue, and is read as the dialogue enumerate(p).
+        Other groups under probes, which earlier files carry empty, are
+        ignored."""
         if not isinstance(d, dict) or not isinstance(d.get("probes"), dict):
             raise IoError("malformed witness: expected an object whose probes map groups to rows")
         is_read = _is_natural if version == 1 else lambda read: _is_naturals(read, 2)
-        for group, entries in d["probes"].items():
-            if not isinstance(entries, list) or not all(
-                isinstance(row, list)
-                and len(row) == 2
-                and isinstance(row[0], list)
-                and all(map(is_read, row[0]))
-                and _is_natural(row[1])
-                for row in entries
-            ):
-                raise IoError(
-                    f"malformed witness: probes.{group} rows must be [list of "
-                    f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
-                )
+        entries = d["probes"].get("apply")
+        if not isinstance(entries, list) or not all(
+            isinstance(row, list)
+            and len(row) == 2
+            and isinstance(row[0], list)
+            and all(map(is_read, row[0]))
+            and _is_natural(row[1])
+            for row in entries
+        ):
+            raise IoError(
+                "malformed witness: probes.apply rows must be [list of "
+                f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
+            )
         for name in ("depth", "result"):
             if not _is_natural(d.get(name)):
                 raise IoError(f"malformed witness: {name} must be a natural")
@@ -443,10 +433,7 @@ class HerbrandWitness:
             raise IoError("malformed witness: trajectory rows must be three naturals")
         as_dialogue = enumerate if version == 1 else lambda reads: map(tuple, reads)
         return HerbrandWitness(
-            probes={
-                group: [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]
-                for group, entries in d["probes"].items()
-            },
+            probes={"apply": [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]},
             depth=d["depth"],
             result=d["result"],
             trajectory=[tuple(step) for step in trajectory],
@@ -462,20 +449,20 @@ def _is_naturals(x: object, length: int) -> bool:
 
 
 class _Recorder:
-    """Wraps a functional's operations to log the dialogue of each call.
+    """Wraps a functional's apply to log the dialogue of each call in one
+    table, which maps each dialogue to its answer.
 
-    A call's row is the (position, value) pairs the operation read, in the
-    order it read them, and its answer. The wrapper point caches, so each
-    position is logged once; positions the operation skipped are never
-    forced. Equal dialogues must repeat their answer (the operations are
-    deterministic) and are stored once.
+    A call's dialogue is the (position, value) pairs apply read, in the
+    order it read them. The wrapper point caches, so each position is
+    logged once; positions apply skipped are never forced. Equal dialogues
+    must repeat their answer (apply is deterministic) and are stored once.
     """
 
     def __init__(self) -> None:
-        self.tables: dict[str, dict[Dialogue, int]] = {g: {} for g in ("apply", "modulus", "theta")}
+        self.table: dict[Dialogue, int] = {}
 
-    def wrap(self, group: str, inner: Callable[[Point], int]) -> Callable[[Point], int]:
-        table = self.tables[group]
+    def wrap(self, inner: Callable[[Point], int]) -> Callable[[Point], int]:
+        table = self.table
 
         def wrapped(point: Point) -> int:
             reads: list[tuple[int, int]] = []
@@ -490,7 +477,7 @@ class _Recorder:
             prev = table.setdefault(dialogue, answer)
             if prev != answer:
                 raise InvariantViolation(
-                    f"{group} answered {prev} then {answer} on equal reads {dialogue}"
+                    f"apply answered {prev} then {answer} on equal reads {dialogue}"
                 )
             return answer
 
@@ -500,25 +487,30 @@ class _Recorder:
 def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWitness:
     """Run gamma_eval at s on a fresh session, recording every oracle call."""
     recorder = _Recorder()
-    wrapped = Functional(apply=recorder.wrap("apply", y.apply), name=f"traced {y.name}")
+    wrapped = Functional(apply=recorder.wrap(y.apply), name=f"traced {y.name}")
     fresh = session.child()
     result = gamma_eval(wrapped, s, fresh)
     depth = fresh.gamma_depth(s)
     # Memo hits only: the stabilization search already visited every depth
     # in this range, so reading the values back consumes no new probes.
-    trajectory = [
-        (n, h_eval(wrapped, s, n, fresh), g_eval(wrapped, s, n, fresh))
-        for n in range(depth + fresh.window + 1)
-    ]
+    trajectory = _trajectory(wrapped, s, fresh, depth + fresh.window + 1)
     return HerbrandWitness(
-        probes={group: list(table.items()) for group, table in recorder.tables.items()},
+        probes={"apply": list(recorder.table.items())},
         depth=depth,
         result=result,
         trajectory=trajectory,
     )
 
 
-def _stub_operation(entries: list[tuple[Dialogue, int]], group: str) -> Callable[[Point], int]:
+def _trajectory(
+    y: Functional, s: FinSeq, session: EvalSession, length: int
+) -> list[tuple[int, int, int]]:
+    """(depth, truncating value, non-truncating value) at s for the depths
+    below length: what a trace records and what its replay must match."""
+    return [(n, h_eval(y, s, n, session), g_eval(y, s, n, session)) for n in range(length)]
+
+
+def _stub_operation(entries: list[tuple[Dialogue, int]]) -> Callable[[Point], int]:
     """Answer by the recorded dialogue the argument point follows.
 
     The entries are built once into a decision tree: a node is [answer,
@@ -555,7 +547,7 @@ def _stub_operation(entries: list[tuple[Dialogue, int]], group: str) -> Callable
             if answer is not None:
                 best = answer
         if best is None:
-            raise OutOfTableQuery(f"no recorded {group} answer matches the argument")
+            raise OutOfTableQuery("no recorded apply answer matches the argument")
         return best
 
     return lookup
@@ -570,7 +562,7 @@ def replay_check(w: HerbrandWitness, s: FinSeq, session: EvalSession) -> bool:
     the equation check (reported as False), or runs off its own table
     (OutOfTableQuery propagates).
     """
-    stub = Functional(apply=_stub_operation(w.probes.get("apply", []), "apply"), name="replay stub")
+    stub = Functional(apply=_stub_operation(w.probes["apply"]), name="replay stub")
     fresh = session.child()
     try:
         result = gamma_eval(stub, s, fresh)
@@ -578,11 +570,7 @@ def replay_check(w: HerbrandWitness, s: FinSeq, session: EvalSession) -> bool:
         return False
     if result != w.result or fresh.gamma_depth(s) != w.depth:
         return False
-    replayed = [
-        (n, h_eval(stub, s, n, fresh), g_eval(stub, s, n, fresh))
-        for n in range(len(w.trajectory))
-    ]
-    return replayed == w.trajectory
+    return _trajectory(stub, s, fresh, len(w.trajectory)) == w.trajectory
 
 
 # Search operators derived from one another.

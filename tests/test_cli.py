@@ -399,6 +399,51 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys, monkeypatch
     assert spent == [546, 546, 546]
 
 
+def test_replay_refuses_flags_other_than_the_recorded_run(tmp_path, capsys):
+    path = tmp_path / "deep.trace"
+    assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", str(path)]) == 0
+    assert json.loads(path.read_text())["run"] == {"seq": [], "window": 14, "nmax": 64}
+    for flags in ([], ["--window", "14", "--seq", "1"], ["--window", "14", "--nmax", "65"]):
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(path), *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "recorded with --seq '' --window 14 --nmax 64" in captured.err
+    assert main(["replay", "--window", "14", "--trace", str(path)]) == 0
+    assert capsys.readouterr().out == "replay: true\n"
+    # A file without the run, as earlier version-2 files are, replays
+    # under whatever flags are given, as before.
+    payload = json.loads(path.read_text())
+    del payload["run"]
+    path.write_text(json.dumps(payload))
+    assert main(["replay", "--trace", str(path)]) == 1
+    assert main(["replay", "--window", "14", "--trace", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        [[], 4, 64],
+        {"seq": [0, 2], "window": 4},
+        {"seq": [0, 2], "window": 4, "nmax": 64, "fuel": 5},
+        {"seq": "0,2", "window": 4, "nmax": 64},
+        {"seq": [0, -2], "window": 4, "nmax": 64},
+        {"seq": [0, 2], "window": 0, "nmax": 64},
+        {"seq": [0, 2], "window": 4, "nmax": True},
+    ],
+    ids=["list", "no-nmax", "extra-key", "text-seq", "negative-entry", "zero-window", "bool-nmax"],
+)
+def test_replay_of_a_malformed_run_is_an_io_error(tmp_path, capsys, run):
+    path = tmp_path / "run.trace"
+    assert main(["trace", "--fixture", "sum01", "--seq", "0,2", "--trace", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["run"] = run
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["replay", "--seq", "0,2", "--trace", str(path)]) == 1
+    assert "error[IoError]" in capsys.readouterr().out
+
+
 # Version-1 trace files, written by the tracer that stored each call as the
 # dense prefix up to the deepest position read; each maps `trace --fixture
 # F --seq S` to (S, the file).

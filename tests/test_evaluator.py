@@ -53,7 +53,7 @@ from gandyhyland.cli.fixtures import (
     flag_associate,
     functional_fixture,
 )
-from gandyhyland.evaluator import _stub_operation
+from gandyhyland.evaluator import _ghs_candidates, _stub_operation
 from oracles import (
     CERTIFIED_PROJ2_EMPTY_H1,
     GHS_FLAG3_AT_ONES,
@@ -194,6 +194,28 @@ def test_uniform_depth_is_a_sampling_modulus():
                     assert y.apply(varied) == base, (name, f.name, pos, val)
 
 
+@given(
+    values=st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
+    m=st.integers(min_value=0, max_value=4),
+    value_cap=st.integers(min_value=0, max_value=2),
+    tail_cap=st.integers(min_value=0, max_value=2),
+)
+def test_ghs_candidates_are_each_capped_sequence_agreeing_with_alpha_once(
+    values, m, value_cap, tail_cap
+):
+    alpha = pad(FinSeq(tuple(values)), 0)
+    got = [s.items for s in _ghs_candidates(alpha, m, value_cap, tail_cap)]
+    assert len(got) == len(set(got))
+    # Every sequence up to m + tail_cap long, entries capped, whose
+    # zero-padding agrees with alpha on the first m values.
+    assert set(got) == {
+        items
+        for length in range(m + tail_cap + 1)
+        for items in product(range(value_cap + 1), repeat=length)
+        if all((items[i] if i < length else 0) == values[i] for i in range(m))
+    }
+
+
 def test_modulus_routes_agree():
     assoc = flag_associate("flag-gamma", 3)
     y = functional_from_associate(assoc, 100_000)
@@ -208,10 +230,8 @@ def test_trace_structure():
     y = functional_fixture("sum01")
     s = FinSeq((0, 2))
     w = herbrand_trace(y, s, make_session())
-    assert set(w.probes) == {"apply", "modulus", "theta"}
     # the evaluation path only ever applies the functional
-    assert w.probes["modulus"] == []
-    assert w.probes["theta"] == []
+    assert set(w.probes) == {"apply"}
     prefixes = [p for p, _ in w.probes["apply"]]
     assert len(prefixes) == len(set(prefixes))
     fresh = make_session()
@@ -285,7 +305,7 @@ def _ask_stub(dialogues, values: list[int], tail: int):
         return values[i] if i < len(values) else tail
 
     try:
-        answer = _stub_operation(dialogues, "apply")(Point(gen, name="counting"))
+        answer = _stub_operation(dialogues)(Point(gen, name="counting"))
     except OutOfTableQuery:
         answer = None
     return answer, reads
@@ -541,6 +561,25 @@ def test_session_serves_one_functional():
     h_eval(functional_fixture("sum01"), EMPTY, 0, session)
     with pytest.raises(InvariantViolation):
         h_eval(functional_fixture("nest"), EMPTY, 0, session)
+
+
+@pytest.mark.parametrize("memo_enabled", [True, False])
+def test_child_keeps_the_knobs_with_fresh_fuel_and_tables(memo_enabled):
+    y = functional_fixture("sum01")
+    bound = constant_point(9, name="h9")
+    session = make_session(window=3, nmax=20, memo_enabled=memo_enabled, bound=bound)
+    gamma_eval(y, FinSeq((0, 2)), session)
+    child = session.child()
+    assert (child.window, child.nmax, child.memo_enabled, child.bound) == (
+        3, 20, memo_enabled, bound
+    )
+    assert child.fuel is not session.fuel
+    assert child.fuel.remaining == child.fuel.budget == session.fuel.budget
+    # Nothing carried over: the child pays for the whole evaluation again,
+    # and a second child takes another functional.
+    gamma_eval(y, FinSeq((0, 2)), child)
+    assert child.fuel.remaining == session.fuel.remaining
+    gamma_eval(functional_fixture("nest"), EMPTY, session.child())
 
 
 def test_stabilization_gives_up_at_the_depth_cap():
