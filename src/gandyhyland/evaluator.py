@@ -47,7 +47,7 @@ from .functionals import (
     gamma_flag,
     indexed_value,
 )
-from .sequences import FinSeq, Point, concat, constant_point, decode, extend, pad, take
+from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decode, extend, pad, take
 
 DEFAULT_SESSION_FUEL = 1_000_000
 
@@ -303,16 +303,23 @@ def _ghs_candidates(
     is zero, then the length-m prefix extended by every tail of length 1 to
     tail_cap. No sequence comes twice: the prefixes have distinct lengths
     up to m, and the extensions are longer than m and distinct by tail.
+    Every candidate starts with alpha's first m values, read once here; if
+    one of them exceeds value_cap, there is no candidate.
     """
-    out: list[FinSeq] = []
-    for j in range(m + 1):
-        if all(alpha.value_at(i) == 0 for i in range(j, m)):
-            out.append(take(alpha, j))
-    prefix = take(alpha, m)
-    for tlen in range(1, tail_cap + 1):
-        for tail in product(range(value_cap + 1), repeat=tlen):
-            out.append(concat(prefix, FinSeq(tail)))
-    return [s for s in out if all(x <= value_cap for x in s.items)]
+    head = take(alpha, m).items
+    if any(x > value_cap for x in head):
+        return []
+    kept = m
+    while kept and not head[kept - 1]:
+        kept -= 1
+    tails = (
+        tail
+        for tlen in range(1, tail_cap + 1)
+        for tail in product(range(value_cap + 1), repeat=tlen)
+    )
+    return [_from_trusted_tuple(head[:j]) for j in range(kept, m + 1)] + [
+        _from_trusted_tuple(head + tail) for tail in tails
+    ]
 
 
 def ghs_witness(
@@ -327,25 +334,44 @@ def ghs_witness(
     sequence compatible with alpha's first values.
 
     Candidates are bounded (entry cap, tail cap); StabilizationFailed if
-    no K at or below nmax passes.
+    no K at or below nmax passes. K is tried upwards, and at each K the
+    candidates of m = K .. K+window in order, stopping at the first that
+    disagrees somewhere in the window. Each candidate keeps [sequence,
+    stable value, next depth to compare, first disagreeing depth found or -1],
+    shared by every m that lists it: all depths from K up to the next one
+    were compared, and agree except the disagreeing one if that is at or
+    above K. So each gamma_eval and each h_eval comparison is made once,
+    and a K whose window holds a known disagreement fails at once.
     """
-    candidates: dict[int, list[FinSeq]] = {}
+    window = session.window
+    known: dict[tuple[int, ...], list] = {}
+    candidates: dict[int, list[list]] = {}
     for k0 in range(session.nmax + 1):
-        ok = True
-        for m in range(k0, k0 + session.window + 1):
-            if m not in candidates:
-                candidates[m] = _ghs_candidates(alpha, m, value_cap, tail_cap)
-            for s in candidates[m]:
-                gv = gamma_eval(y, s, session)
-                if any(
-                    h_eval(y, s, n, session) != gv
-                    for n in range(k0, k0 + session.window + 1)
-                ):
-                    ok = False
+        top = k0 + window
+        for m in range(k0, top + 1):
+            row = candidates.get(m)
+            if row is None:
+                row = candidates[m] = [
+                    known.setdefault(s.items, [s, None, 0, -1])
+                    for s in _ghs_candidates(alpha, m, value_cap, tail_cap)
+                ]
+            for state in row:
+                s, value, n, bad = state
+                if bad >= k0:
                     break
-            if not ok:
-                break
-        if ok:
+                if value is None:
+                    value = state[1] = gamma_eval(y, s, session)
+                n = max(n, k0)
+                while n <= top and h_eval(y, s, n, session) == value:
+                    n += 1
+                if n <= top:
+                    state[2:] = n + 1, n
+                    break
+                state[2] = n
+            else:
+                continue
+            break
+        else:
             return k0
     raise StabilizationFailed(
         f"no uniform depth below {session.nmax} for {y.name} near {alpha.name}"

@@ -81,28 +81,39 @@ class Functional:
         return f"Functional({self.name})"
 
 
-def _scan(gamma: Associate, alpha: Point, fuel: Fuel, op: str, node: list) -> tuple[int, int]:
+def _scan(
+    gamma: Associate, alpha: Point, fuel: Fuel, context: str, node: list
+) -> tuple[int, int]:
     """(value, deciding prefix length) of gamma along alpha, one fuel step per
-    level; gamma is queried only at trie nodes [answer, children] not yet answered."""
-    prefix: tuple[int, ...] = ()
+    level spent under context; gamma is queried only at trie nodes [answer,
+    children] not yet answered, and alpha is read once per level walked."""
+    spend, read = fuel.spend, alpha.value_at
+    reads: list[int] = []
+    depth = 0
     while True:
-        fuel.spend(f"{op}({gamma.name})")
-        if node[0] is None:
-            node[0] = gamma.query(_from_trusted_tuple(prefix))
-        if node[0] > 0:
-            return node[0] - 1, len(prefix)
-        prefix += (alpha.value_at(len(prefix)),)
-        node = node[1].setdefault(prefix[-1], [None, {}])
+        spend(context)
+        answer = node[0]
+        if answer is None:
+            answer = node[0] = gamma.query(_from_trusted_tuple(tuple(reads)))
+        if answer > 0:
+            return answer - 1, depth
+        value = read(depth)
+        reads.append(value)
+        depth += 1
+        children = node[1]
+        node = children.get(value)
+        if node is None:
+            node = children[value] = [None, {}]
 
 
 def associate_apply(gamma: Associate, alpha: Point, fuel: Fuel) -> int:
     """Value of the functional described by gamma at the point alpha."""
-    return _scan(gamma, alpha, fuel, "associate_apply", [None, {}])[0]
+    return _scan(gamma, alpha, fuel, f"associate_apply({gamma.name})", [None, {}])[0]
 
 
 def modulus_from_associate(gamma: Associate, alpha: Point, fuel: Fuel) -> int:
     """Length of the first deciding prefix of alpha under gamma."""
-    return _scan(gamma, alpha, fuel, "modulus_from_associate", [None, {}])[1]
+    return _scan(gamma, alpha, fuel, f"modulus_from_associate({gamma.name})", [None, {}])[1]
 
 
 def check_neighbourhood(gamma: Associate, depth: int, width: int) -> bool:
@@ -147,11 +158,21 @@ def associate_from_functional(y: Functional) -> Associate:
 
 def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL) -> Functional:
     """Functional evaluating gamma along its argument. apply and modulus share one
-    trie of per-prefix answers; each call spends its own Fuel(fuel_budget) per level."""
+    trie of per-prefix answers.
+
+    Fuel is split. Each apply or modulus call spends its own
+    Fuel(fuel_budget), one step per trie level walked, trie hits included,
+    and raises FuelExhausted naming the operation and gamma when that runs
+    dry. None of it is charged to an evaluation session that applies this
+    functional: the session's fuel (the CLI's --fuel) bounds the session's
+    own evaluation steps only. The CLI passes --fuel as fuel_budget too.
+    """
     trie: list = [None, {}]
+    apply_context = f"associate_apply({gamma.name})"
+    modulus_context = f"modulus_from_associate({gamma.name})"
     return Functional(
-        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), "associate_apply", trie)[0],
-        modulus=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), "modulus_from_associate", trie)[1],
+        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), apply_context, trie)[0],
+        modulus=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), modulus_context, trie)[1],
         name=f"fn({gamma.name})",
     )
 

@@ -131,6 +131,54 @@ def brute_gamma(y: Functional, s: FinSeq, guard: int = 64) -> int:
     return y.apply(Point(gen, name=f"brute block {list(s)}"))
 
 
+def brute_h(y: Functional, s: FinSeq, m: int) -> int:
+    """Literal depth-m truncating unfolding, no memo.
+
+    A sequence at least m long is cut to its first m values and padded
+    with zeros. A shorter one is applied at s, then 0, then the values at
+    its one-step extensions by 1 .. m, computed the same way, then zeros.
+    """
+    k = len(s)
+    if k >= m:
+        return y.apply(pad(FinSeq(s.items[:m]), 0))
+
+    def gen(i: int) -> int:
+        if i < k:
+            return s[i]
+        if i == k:
+            return 0
+        if i - k <= m:
+            return brute_h(y, extend(s, i - k), m)
+        return 0
+
+    return y.apply(Point(gen, name=f"brute h-block {list(s)}@{m}"))
+
+
+def brute_ghs_witness(
+    y: Functional, alpha: Point, window: int, nmax: int, value_cap: int, tail_cap: int
+) -> int | None:
+    """Least K <= nmax such that brute_h at every depth K .. K+window
+    equals brute_gamma on every candidate for every m in K .. K+window;
+    None if there is none.
+
+    The candidates at m are found by brute force: every sequence at most
+    m + tail_cap long, with entries at most value_cap, whose zero-padding
+    agrees with alpha on the first m values.
+    """
+    for k0 in range(nmax + 1):
+        depths = range(k0, k0 + window + 1)
+        if all(
+            brute_h(y, s, n) == brute_gamma(y, s)
+            for m in depths
+            for length in range(m + tail_cap + 1)
+            for s in map(FinSeq, product(range(value_cap + 1), repeat=length))
+            if all((s[i] if i < length else 0) == alpha.value_at(i) for i in range(m))
+            for n in depths
+        ):
+            return k0
+    return None
+
+
 def brute_fan_bound(y: Functional, max_n: int = 10, lookahead: int = 8) -> int:
     """Least prefix length that pins the value over binary points.
 

@@ -6,7 +6,7 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gandyhyland import (
@@ -23,6 +23,7 @@ from gandyhyland import (
     StabilizationFailed,
     certified_depth_bounded,
     constant_point,
+    enumerate_sequences,
     epsilon_flag,
     ext_witness,
     functional_from_associate,
@@ -45,7 +46,7 @@ from gandyhyland import (
     replay_check,
     stabilize,
 )
-from gandyhyland.cli.dsl import Add, Ifz, Least, Lit, Mul, Probe, functional_from_ast
+from gandyhyland.cli.dsl import Add, Ifz, Least, Lit, Mul, Probe, functional_from_ast, parse_spec
 from gandyhyland.cli.fixtures import (
     catalog_functionals,
     crafted_mu_points,
@@ -69,17 +70,11 @@ from oracles import (
     ZERO_AT_20_EXT_WITNESS,
     brute_dialogue_answer,
     brute_gamma,
+    brute_ghs_witness,
     brute_longest_prefix_answer,
 )
 
 S57 = FinSeq((5, 7))
-
-
-def grid(max_len: int, width: int) -> list[FinSeq]:
-    out = [EMPTY]
-    for length in range(1, max_len + 1):
-        out.extend(FinSeq(items) for items in product(range(width), repeat=length))
-    return out
 
 
 def test_truncating_approximation_frozen_values():
@@ -110,7 +105,7 @@ def test_stabilize_frozen_values():
 def test_stabilize_covers_both_approximations_over_the_window():
     for y in catalog_functionals():
         session = make_session()
-        for s in grid(2, 2):
+        for s in enumerate_sequences(2, 2):
             n0, v = stabilize(y, s, session)
             for n in range(n0, n0 + session.window + 1):
                 assert h_eval(y, s, n, session) == v, (y.name, s.items, n)
@@ -122,14 +117,14 @@ def test_gamma_matches_literal_unfolding():
     # no memo, no stabilization search, no depth cutoff
     for y in catalog_functionals():
         session = make_session()
-        for s in grid(3, 3):
+        for s in enumerate_sequences(3, 3):
             assert gamma_eval(y, s, session) == brute_gamma(y, s), (y.name, s.items)
 
 
 def test_fixed_point_equation_holds_on_the_grid():
     for y in catalog_functionals():
         session = make_session()
-        for s in grid(2, 2):
+        for s in enumerate_sequences(2, 2):
             assert gh_check(lambda t: gamma_eval(y, t, session), y, s), (y.name, s.items)
 
 
@@ -145,7 +140,7 @@ def test_stable_approximants_agree_and_solve_the_equation():
         def via_g(t: FinSeq) -> int:
             return g_eval(y, t, stabilize(y, t, session)[0], session)
 
-        for s in grid(2, 2):
+        for s in enumerate_sequences(2, 2):
             assert via_h(s) == via_g(s) == gamma_eval(y, s, session)
             assert gh_check(via_h, y, s), (y.name, s.items)
             assert gh_check(via_g, y, s), (y.name, s.items)
@@ -507,6 +502,40 @@ def test_trace_then_replay_certifies(tree, start):
     assert replay_check(back, start, make_session())
 
 
+def _reach(tree) -> int:
+    """One past the deepest position a _SHALLOW_AST expression can read."""
+    if isinstance(tree, Lit):
+        return 0
+    if isinstance(tree, Probe):
+        return tree.arg.value + 1
+    if isinstance(tree, Least):
+        return _reach(tree.body) + tree.bound - 1 if tree.bound else 0
+    return max(_reach(child) for child in vars(tree).values())
+
+
+@settings(deadline=None)
+# At zeros, K = 0 finds the candidate (0, 1) agreeing at depths 0 and 1
+# but not at 2, so K = 1 must fail on it too without comparing again.
+@example(tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"), period=[0])
+@given(
+    tree=_SHALLOW_AST,
+    period=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+)
+def test_ghs_witness_is_the_least_uniform_depth(tree, period):
+    # From depth _reach on, both approximations are exact, so a window and
+    # an nmax that wide make every stabilization land on the true value and
+    # some K at or below nmax pass: neither side can fail. A narrower
+    # window lets stabilization settle on a short false plateau, which the
+    # equation check rejects while the oracle still has an answer.
+    reach = _reach(tree)
+    y = functional_from_ast(tree)
+    alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
+    session = make_session(window=reach, nmax=reach)
+    assert ghs_witness(y, alpha, session, value_cap=1, tail_cap=1) == brute_ghs_witness(
+        y, alpha, reach, reach, value_cap=1, tail_cap=1
+    )
+
+
 def test_memo_is_write_once():
     session = make_session()
     session.memo_put(("h", (5,), 1), 3)
@@ -540,6 +569,25 @@ def test_ghs_witness_work_counts_are_frozen():
     session = make_session(fuel_steps=2_000_000, window=6)
     assert modulus_from_ghs(y, constant_point(0, name="zeros"), session) == 6
     assert _work(session) == (5930, 5930)
+
+
+@pytest.mark.parametrize(
+    "name, m0, point, work",
+    [
+        ("flag-gamma", 3, 1, (1078, 1078)),
+        ("flag-gamma", 5, 1, (3764, 3764)),
+        ("proj2", 3, 2, (849, 849)),
+        ("sum01", 3, 1, (616, 616)),
+        ("nest", 3, 0, (608, 608)),
+    ],
+)
+def test_uniform_depth_work_counts_are_frozen(name, m0, point, work):
+    # The cases of test_uniform_depth_frozen_values: each candidate's
+    # stable value and each (candidate, depth) comparison costs its nodes
+    # once, and no depth below the window is ever compared.
+    session = make_session(fuel_steps=2_000_000, window=6)
+    ghs_witness(functional_fixture(name, m0=m0), constant_point(point), session)
+    assert _work(session) == work
 
 
 def test_leaves_are_keyed_by_the_point_they_evaluate():

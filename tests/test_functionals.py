@@ -179,12 +179,52 @@ def test_modulus_from_associate_is_the_flag_depth():
         assert modulus_from_associate(gamma, alpha, Fuel(100)) == 4
 
 
+def _dry(op: str, budget: int) -> str:
+    return rf"^{op}\(undecided\): no steps left of {budget}$"
+
+
 def test_undecided_associate_exhausts_fuel():
     never = Associate(query=lambda s: 0, name="undecided")
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted, match=_dry("associate_apply", 50)):
         associate_apply(never, constant_point(0), Fuel(50))
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted, match=_dry("modulus_from_associate", 50)):
         modulus_from_associate(never, constant_point(0), Fuel(50))
+    # An associate-backed functional spends its own budget on every call.
+    y = functional_from_associate(never, 7)
+    for _ in range(2):
+        with pytest.raises(FuelExhausted, match=_dry("associate_apply", 7)):
+            y.apply(constant_point(0))
+        with pytest.raises(FuelExhausted, match=_dry("modulus_from_associate", 7)):
+            y.modulus(constant_point(0))
+
+
+class _CountingPoint(Point):
+    """A point that counts every read, cached or not."""
+
+    def __init__(self, gen) -> None:
+        super().__init__(gen, name="counting")
+        self.reads = 0
+
+    def value_at(self, n: int) -> int:
+        self.reads += 1
+        return super().value_at(n)
+
+
+def test_scan_reads_the_point_once_per_level_walked():
+    # Decides at length 4, so a scan walks the levels 0..4 and reads the
+    # point at the four it passes, whether the trie answers or the
+    # associate is asked.
+    gamma = Associate(query=lambda s: 0 if len(s) < 4 else 1 + s[3], name="fourth")
+    for scan in (associate_apply, modulus_from_associate):
+        fuel = Fuel(100)
+        alpha = _CountingPoint(lambda n: n % 3)
+        scan(gamma, alpha, fuel)
+        assert alpha.reads == fuel.budget - fuel.remaining - 1 == 4
+    y = functional_from_associate(gamma, 100)
+    for op, expected in ((y.apply, 0), (y.modulus, 4), (y.apply, 0), (y.modulus, 4)):
+        alpha = _CountingPoint(lambda n: n % 3)
+        assert op(alpha) == expected
+        assert alpha.reads == 4
 
 
 _PREFIX = st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(tuple)
