@@ -317,18 +317,17 @@ def check_foundation_laws() -> Iterator[str]:
             yield f"coding: code/decode round trip breaks at {s}"
             break
     grid = enumerate_sequences(3, 3)
-    for name in ("const2", "proj0", "proj2", "sum01", "nest", "flag-gamma"):
-        y = functional_fixture(name)
+    for y in catalog_functionals():
         with_memo = make_session(memo_enabled=True)
         without = make_session(memo_enabled=False, fuel_steps=5_000_000)
         for s in grid:
             a = stabilize(y, s, with_memo)
             b = stabilize(y, s, without)
             if a != b:
-                yield f"{name} at {s}: memo changes stabilize {a} vs {b}"
+                yield f"{y.name} at {s}: memo changes stabilize {a} vs {b}"
                 break
             if gamma_eval(y, s, with_memo) != gamma_eval(y, s, without):
-                yield f"{name} at {s}: memo changes the checked value"
+                yield f"{y.name} at {s}: memo changes the checked value"
                 break
 
 

@@ -35,8 +35,6 @@ EXPR_FIXTURES: dict[str, str] = {
 
 FLAG_FIXTURES = ("flag-gamma", "flag-epsilon")
 
-TREE_FIXTURES = ("empty", "full-0", "full-1", "full-2", "full-3", "no-consecutive-ones")
-
 
 def flag_stream(m0: int) -> Point:
     """One-hot stream: 1 at position m0, 0 elsewhere."""
@@ -76,27 +74,29 @@ def expr_functional(text: str) -> Functional:
     return functional_from_ast(parse_spec(text))
 
 
-def tree_fixture(name: str) -> BinTree:
-    if name == "empty":
-        return BinTree(member=lambda s: False, name="empty")
-    if name.startswith("full-"):
-        try:
-            k = int(name[5:])
-        except ValueError:
-            k = -1
-        if 0 <= k <= 3:
-            return BinTree(
-                member=lambda s, _k=k: len(s) <= _k and all(x <= 1 for x in s),
-                name=name,
-            )
-    if name == "no-consecutive-ones":
-        def member(s: FinSeq) -> bool:
-            if any(x > 1 for x in s):
-                return False
-            return all(not (s[i] == 1 and s[i + 1] == 1) for i in range(len(s) - 1))
+def _no_consecutive_ones(s: FinSeq) -> bool:
+    if any(x > 1 for x in s):
+        return False
+    return all(not (s[i] == 1 and s[i + 1] == 1) for i in range(len(s) - 1))
 
-        return BinTree(member=member, name=name)
-    raise ValueError(f"unknown tree fixture {name!r} (known: {', '.join(TREE_FIXTURES)})")
+
+TREE_FIXTURES: dict[str, BinTree] = {
+    "empty": BinTree(member=lambda s: False, name="empty"),
+    **{
+        f"full-{k}": BinTree(
+            member=lambda s, _k=k: len(s) <= _k and all(x <= 1 for x in s), name=f"full-{k}"
+        )
+        for k in range(4)
+    },
+    "no-consecutive-ones": BinTree(member=_no_consecutive_ones, name="no-consecutive-ones"),
+}
+
+
+def tree_fixture(name: str) -> BinTree:
+    tree = TREE_FIXTURES.get(name)
+    if tree is None:
+        raise ValueError(f"unknown tree fixture {name!r} (known: {', '.join(TREE_FIXTURES)})")
+    return tree
 
 
 def catalog_functionals() -> list[Functional]:

@@ -139,8 +139,19 @@ def read_json(path: str) -> list[ResultRecord]:
 
 
 def write_trace(witness: HerbrandWitness, path: str, run: dict) -> None:
-    """Write the witness and the run it records (start seq, window, nmax)."""
-    payload = {"schema": TRACE_SCHEMA, "version": 2, "run": run, "witness": witness.as_dict()}
+    """Write the witness and the run it records (start seq, window, nmax).
+    JSON writes the witness's tuples as lists, which read_trace turns back."""
+    payload = {
+        "schema": TRACE_SCHEMA,
+        "version": 2,
+        "run": run,
+        "witness": {
+            "probes": {"apply": witness.probes["apply"]},
+            "depth": witness.depth,
+            "result": witness.result,
+            "trajectory": witness.trajectory,
+        },
+    }
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -149,8 +160,22 @@ def write_trace(witness: HerbrandWitness, path: str, run: dict) -> None:
         raise IoError(str(exc)) from None
 
 
+def _is_natural(x: object) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_naturals(x: object, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length and all(map(_is_natural, x))
+
+
 def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
-    """The witness and the recorded run, None in files that predate it."""
+    """The witness and the recorded run, None in files that predate it.
+
+    IoError if the file does not have write_trace's shape. A version-1 row
+    holds the dense prefix p up to the deepest read in place of a dialogue,
+    and is read as the dialogue enumerate(p). Other groups under probes,
+    which earlier files carry empty, are ignored.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -168,14 +193,42 @@ def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
         isinstance(run, dict)
         and set(run) == {"seq", "window", "nmax"}
         and isinstance(run["seq"], list)
-        and all(type(x) is int and x >= 0 for x in run["seq"])
-        and all(type(run[knob]) is int and run[knob] > 0 for knob in ("window", "nmax"))
+        and all(map(_is_natural, run["seq"]))
+        and all(_is_natural(run[knob]) and run[knob] > 0 for knob in ("window", "nmax"))
     ):
         raise IoError(f"{path}: malformed run: expected seq naturals, window and nmax positive")
-    try:
-        return HerbrandWitness.from_dict(payload.get("witness"), version), run
-    except IoError as exc:
-        raise IoError(f"{path}: {exc}") from None
+    raw = payload.get("witness")
+    if not isinstance(raw, dict) or not isinstance(raw.get("probes"), dict):
+        raise IoError(
+            f"{path}: malformed witness: expected an object whose probes map groups to rows"
+        )
+    is_read = _is_natural if version == 1 else lambda read: _is_naturals(read, 2)
+    entries = raw["probes"].get("apply")
+    if not isinstance(entries, list) or not all(
+        isinstance(row, list)
+        and len(row) == 2
+        and isinstance(row[0], list)
+        and all(map(is_read, row[0]))
+        and _is_natural(row[1])
+        for row in entries
+    ):
+        raise IoError(
+            f"{path}: malformed witness: probes.apply rows must be [list of "
+            f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
+        )
+    for name in ("depth", "result"):
+        if not _is_natural(raw.get(name)):
+            raise IoError(f"{path}: malformed witness: {name} must be a natural")
+    trajectory = raw.get("trajectory")
+    if not isinstance(trajectory, list) or not all(_is_naturals(t, 3) for t in trajectory):
+        raise IoError(f"{path}: malformed witness: trajectory rows must be three naturals")
+    as_dialogue = enumerate if version == 1 else lambda reads: map(tuple, reads)
+    return HerbrandWitness(
+        probes={"apply": [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]},
+        depth=raw["depth"],
+        result=raw["result"],
+        trajectory=[tuple(step) for step in trajectory],
+    ), run
 
 
 def _functional(cfg: RunConfig) -> Functional:

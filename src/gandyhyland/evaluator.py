@@ -34,7 +34,6 @@ from .errors import (
     FuelExhausted,
     GhEquationViolated,
     InvariantViolation,
-    IoError,
     OutOfTableQuery,
     StabilizationFailed,
 )
@@ -64,9 +63,10 @@ class EvalSession:
     recursion, is keyed by the point it evaluates, so leaves that evaluate
     the same point share one entry and one fuel step. Computed gamma
     values live in their own table together with the depth at which they
-    stabilized. A session serves exactly one functional: mixing two would
-    silently cross-contaminate the memo, so the first functional seen
-    claims the session.
+    stabilized, and only while certified or being certified. A session
+    serves exactly one functional: mixing two would silently
+    cross-contaminate the memo, so the first functional seen claims the
+    session.
 
     bound, when set, caps every child value g_eval reads in this session
     at the position carrying it (BoundExceeded otherwise). Set it before
@@ -83,7 +83,6 @@ class EvalSession:
     _gamma: dict[tuple[int, ...], tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _gamma_checked: set[tuple[int, ...]] = field(default_factory=set, init=False, repr=False)
     _owner: Functional | None = field(default=None, init=False, repr=False)
 
     def child(self) -> EvalSession:
@@ -275,19 +274,21 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
     Stabilizes g_eval, then checks the fixed-point equation with the
     computed values standing in for the recursive occurrences; the check
     recurses through the children it reads, each verified once per
-    session. Raises GhEquationViolated if the equation fails.
+    session. Raises GhEquationViolated if the equation fails. A value whose
+    check fails or is cut short is dropped, so asking again fails again.
     """
     session.claim(y)
     entry = session._gamma.get(s.items)
     if entry is None:
-        entry = stabilize(y, s, session)
-        session._gamma[s.items] = entry
-    if s.items not in session._gamma_checked:
-        session._gamma_checked.add(s.items)
-        if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
-            raise GhEquationViolated(
-                f"{y.name} at {list(s.items)}: stable value {entry[1]} fails the equation"
-            )
+        entry = session._gamma[s.items] = stabilize(y, s, session)
+        try:
+            if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
+                raise GhEquationViolated(
+                    f"{y.name} at {list(s.items)}: stable value {entry[1]} fails the equation"
+                )
+        except BaseException:
+            del session._gamma[s.items]
+            raise
     return entry[1]
 
 
@@ -414,64 +415,6 @@ class HerbrandWitness:
     depth: int
     result: int
     trajectory: list[tuple[int, int, int]]
-
-    def as_dict(self) -> dict:
-        return {
-            "probes": {
-                "apply": [
-                    [[list(read) for read in reads], answer]
-                    for reads, answer in self.probes["apply"]
-                ]
-            },
-            "depth": self.depth,
-            "result": self.result,
-            "trajectory": [list(step) for step in self.trajectory],
-        }
-
-    @staticmethod
-    def from_dict(d: object, version: int = 2) -> "HerbrandWitness":
-        """Inverse of as_dict; IoError if d does not have its shape. A
-        version-1 row holds the dense prefix p up to the deepest read in
-        place of a dialogue, and is read as the dialogue enumerate(p).
-        Other groups under probes, which earlier files carry empty, are
-        ignored."""
-        if not isinstance(d, dict) or not isinstance(d.get("probes"), dict):
-            raise IoError("malformed witness: expected an object whose probes map groups to rows")
-        is_read = _is_natural if version == 1 else lambda read: _is_naturals(read, 2)
-        entries = d["probes"].get("apply")
-        if not isinstance(entries, list) or not all(
-            isinstance(row, list)
-            and len(row) == 2
-            and isinstance(row[0], list)
-            and all(map(is_read, row[0]))
-            and _is_natural(row[1])
-            for row in entries
-        ):
-            raise IoError(
-                "malformed witness: probes.apply rows must be [list of "
-                f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
-            )
-        for name in ("depth", "result"):
-            if not _is_natural(d.get(name)):
-                raise IoError(f"malformed witness: {name} must be a natural")
-        trajectory = d.get("trajectory")
-        if not isinstance(trajectory, list) or not all(_is_naturals(t, 3) for t in trajectory):
-            raise IoError("malformed witness: trajectory rows must be three naturals")
-        as_dialogue = enumerate if version == 1 else lambda reads: map(tuple, reads)
-        return HerbrandWitness(
-            probes={"apply": [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]},
-            depth=d["depth"],
-            result=d["result"],
-            trajectory=[tuple(step) for step in trajectory],
-        )
-
-
-def _is_natural(x: object) -> bool:
-    return type(x) is int and x >= 0
-
-
-def _is_naturals(x: object, length: int) -> bool:
-    return isinstance(x, list) and len(x) == length and all(map(_is_natural, x))
 
 
 class _Recorder:

@@ -10,6 +10,7 @@ functionals whose modulus lies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -33,12 +34,16 @@ class BinTree:
 class ThetaResult:
     """Outcome of the special fan construction.
 
-    bound is the uniform value bound; points is the finite list of
-    zero-padded binary prefixes of that length witnessing it.
+    bound is the uniform value bound. The points witnessing it, all
+    zero-padded binary prefixes of that length, follow from the bound and
+    are built on first use.
     """
 
     bound: int
-    points: list[Point]
+
+    @cached_property
+    def points(self) -> list[Point]:
+        return [pad(FinSeq(bits), 0) for bits in product((0, 1), repeat=self.bound)]
 
 
 def _bar_values(y: Functional, h: Point, sigma: FinSeq, fuel: Fuel) -> tuple[set[int], int]:
@@ -75,20 +80,16 @@ def fan_modulus(y: Functional, fuel: Fuel) -> int:
 
 
 def special_fan(omega: Callable[[Functional], int], g: Functional) -> ThetaResult:
-    """Uniform bound on g over binary points, with witnessing points.
+    """Uniform bound on g over binary points.
 
     omega supplies the uniform modulus; the bound is the maximum of g over
-    the zero-padded binary prefixes of that length, and the points are all
-    zero-padded binary prefixes of the bound's length.
+    the zero-padded binary prefixes of that length.
     """
     n = omega(g)
     bound = max(
         g.apply(pad(FinSeq(bits), 0)) for bits in product((0, 1), repeat=n)
     )
-    points = [
-        pad(FinSeq(bits), 0) for bits in product((0, 1), repeat=bound)
-    ]
-    return ThetaResult(bound=bound, points=points)
+    return ThetaResult(bound=bound)
 
 
 def scf_check(theta: ThetaResult, g: Functional, tree: BinTree, depth: int) -> bool:
@@ -97,7 +98,7 @@ def scf_check(theta: ThetaResult, g: Functional, tree: BinTree, depth: int) -> b
     If every theta point leaves the tree within g's value there, then every
     binary sequence of the bound's length must leave the tree by the bound.
     Vacuously true when some theta point stays inside. DepthExceeded guards
-    the consequent's enumeration.
+    both enumerations and is raised before any theta point is built.
     """
     if theta.bound > depth:
         raise DepthExceeded(f"theta bound {theta.bound} exceeds depth cap {depth}")

@@ -305,6 +305,14 @@ def test_exit_codes():
     assert main(["h", "--fixture", "sum01"]) == 2  # missing --depth
 
 
+def test_scf_check_refuses_a_bound_past_the_depth_cap_at_once(capsys):
+    # special-fan's bound here is 100; scf-check must not list its 2^100 points
+    assert main(["scf-check", "--expr", "f(9)+f(0)*99", "--tree", "full-3"]) == 1
+    assert capsys.readouterr().out == (
+        "scf-check: error[DepthExceeded] theta bound 100 exceeds depth cap 16\n"
+    )
+
+
 def test_usage_errors_go_to_stderr(capsys):
     assert main(["eval-gh", "--expr", "f(0)+"]) == 2
     captured = capsys.readouterr()
@@ -339,7 +347,8 @@ def test_json_results_round_trip(tmp_path):
         run_command("mu", RunConfig(seq="1,1,0")),
     ]
     emit_json(records, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     assert json.loads(lines[0]) == {"schema": RESULTS_SCHEMA, "version": 1}
     assert len(lines) == 3
     back = read_json(path)

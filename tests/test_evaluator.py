@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +15,8 @@ from gandyhyland import (
     FinSeq,
     Fuel,
     FuelExhausted,
+    Functional,
+    GhEquationViolated,
     HerbrandWitness,
     InvariantViolation,
     OutOfTableQuery,
@@ -54,6 +55,7 @@ from gandyhyland.cli.fixtures import (
     flag_associate,
     functional_fixture,
 )
+from gandyhyland.cli.main import read_trace, write_trace
 from gandyhyland.evaluator import _ghs_candidates, _stub_operation
 from oracles import (
     CERTIFIED_PROJ2_EMPTY_H1,
@@ -126,6 +128,20 @@ def test_fixed_point_equation_holds_on_the_grid():
         session = make_session()
         for s in enumerate_sequences(2, 2):
             assert gh_check(lambda t: gamma_eval(y, t, session), y, s), (y.name, s.items)
+
+
+def test_a_failed_certification_is_not_kept():
+    # At window 4 stabilization settles on a false plateau at [6, 5, 4, 3, 2]
+    # (window 12 certifies the true value 2), so the check fails there. No
+    # later call on the session may serve that value or an ancestor's.
+    y = expr_functional("f(6)+1")
+    deep = FinSeq((6, 5, 4, 3, 2))
+    session = make_session(window=4)
+    for s in (EMPTY, deep, EMPTY):
+        with pytest.raises(GhEquationViolated) as exc:
+            gamma_eval(y, s, session)
+        assert str(exc.value) == "f(6)+1 at [6, 5, 4, 3, 2]: stable value 1 fails the equation"
+    assert gamma_eval(y, deep, make_session(window=12)) == 2
 
 
 def test_stable_approximants_agree_and_solve_the_equation():
@@ -239,6 +255,14 @@ def test_trace_structure():
     assert [t[0] for t in w.trajectory] == list(range(len(w.trajectory)))
 
 
+def test_trace_refuses_an_apply_that_answers_equal_reads_differently():
+    ticks = count()
+    y = Functional(apply=lambda p: p.value_at(0) + next(ticks) % 2, name="flicker")
+    with pytest.raises(InvariantViolation) as exc:
+        herbrand_trace(y, EMPTY, make_session())
+    assert str(exc.value) == "apply answered 0 then 1 on equal reads ((0, 0),)"
+
+
 def test_trace_replays_cleanly():
     for name in ("const2", "sum01", "nest"):
         y = functional_fixture(name)
@@ -282,10 +306,12 @@ def test_replay_ignores_unreachable_extra_rows():
     assert replay_check(padded, EMPTY, make_session())
 
 
-def test_witness_survives_json():
+def test_witness_survives_json(tmp_path):
     y = functional_fixture("sum01")
     w = herbrand_trace(y, FinSeq((1,)), make_session())
-    back = HerbrandWitness.from_dict(json.loads(json.dumps(w.as_dict())))
+    path = str(tmp_path / "trace.json")
+    write_trace(w, path, {"seq": [1], "window": 4, "nmax": 64})
+    back, _ = read_trace(path)
     assert back == w
     assert replay_check(back, FinSeq((1,)), make_session())
 
@@ -493,11 +519,13 @@ def test_memo_keys_are_observationally_transparent(tree, start, depth):
     tree=_SHALLOW_AST,
     start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
 )
-def test_trace_then_replay_certifies(tree, start):
+def test_trace_then_replay_certifies(tmp_path_factory, tree, start):
     y = functional_from_ast(tree)
     w = herbrand_trace(y, start, make_session())
     assert w.result == gamma_eval(y, start, make_session())
-    back = HerbrandWitness.from_dict(json.loads(json.dumps(w.as_dict())))
+    path = str(tmp_path_factory.getbasetemp() / "trace-then-replay.json")
+    write_trace(w, path, {"seq": list(start), "window": 4, "nmax": 64})
+    back, _ = read_trace(path)
     assert back == w
     assert replay_check(back, start, make_session())
 

@@ -122,6 +122,13 @@ def test_scf_refuses_bounds_beyond_its_depth_cap():
         scf_check(theta, g, tree_fixture("full-3"), depth=theta.bound - 1)
 
 
+def test_scf_refuses_a_huge_bound_before_building_any_point():
+    # listing the points of this bound would take 2^1000000 of them
+    g = functional_fixture("const2")
+    with pytest.raises(DepthExceeded, match="^theta bound 1000000 exceeds depth cap 16$"):
+        scf_check(ThetaResult(bound=10**6), g, tree_fixture("full-3"), depth=16)
+
+
 def test_scf_holds_across_every_small_tree():
     # for honestly constructed theta the implication is a theorem, so no
     # prefix-closed tree can refute it
@@ -136,7 +143,7 @@ def test_scf_flags_an_underselling_bound():
     # tree keeping every short prefix the implication fails and the
     # checker must say so
     g = functional_fixture("const2")
-    theta = ThetaResult(bound=1, points=[pad(FinSeq((0,)), 0), pad(FinSeq((1,)), 0)])
+    theta = ThetaResult(bound=1)
     tree = BinTree(member=lambda s: len(s) <= 1 and all(x <= 1 for x in s), name="stubby")
     assert not scf_check(theta, g, tree, depth=16)
 
