@@ -322,8 +322,13 @@ def _stabilize(cfg: RunConfig):
     return {"depth": n0, "value": value}, {}
 
 
+def _depth_cap(cfg: RunConfig) -> int:
+    return cfg.depth if cfg.depth is not None else 16
+
+
 def _special_fan(cfg: RunConfig):
     theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), _functional(cfg))
+    theta = theta.within(_depth_cap(cfg))
     points = [[p.value_at(i) for i in range(theta.bound)] for p in theta.points]
     return {"bound": theta.bound, "points": points}, {}
 
@@ -332,8 +337,7 @@ def _scf_check(cfg: RunConfig):
     y = _functional(cfg)
     tree = tree_fixture(_require(cfg.tree, "--tree"))
     theta = special_fan(lambda fn: fan_modulus(fn, Fuel(cfg.fuel)), y)
-    depth = cfg.depth if cfg.depth is not None else 16
-    return scf_check(theta, y, tree, depth=depth), {}
+    return scf_check(theta, y, tree, depth=_depth_cap(cfg)), {}
 
 
 def _ghs(cfg: RunConfig):
@@ -471,7 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, help="agreement window width")
     parser.add_argument("--value-cap", type=int, help="entry cap for witness tails")
     parser.add_argument("--tail-cap", type=int, help="length cap for witness tails")
-    parser.add_argument("--depth", type=int, help="explicit depth for h/g, cap for scf-check")
+    parser.add_argument("--depth", type=int, help="explicit depth for h/g; bound cap for "
+                        "special-fan and scf-check (default 16)")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the result record as NDJSON")
     parser.add_argument("--fixture", help="named functional fixture")

@@ -225,12 +225,24 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     and the non-truncating approximation alike, so the witness depth is
     required to work for both; the truncating one typically needs a few
     extra levels to stop cutting into s.
+
+    At every N <= len(s), g_eval is the one leaf at s, applied once before
+    the search (which also claims the session). A level whose value is in
+    the memo is read there, under the key its approximation writes; only a
+    miss enters the approximation, so the evaluated nodes are the same.
     """
+    leaf = g_eval(y, s, 0, session)
+    items = s.items
+    memo = session._values
     run_start = 0
     last: int | None = None
     for n in range(session.nmax + session.window + 1):
-        gv = g_eval(y, s, n, session)
-        hv = h_eval(y, s, n, session)
+        gv = leaf if n <= len(items) else memo.get(("g", items, n))
+        if gv is None:
+            gv = g_eval(y, s, n, session)
+        hv = memo.get(("h", items[:n], n))
+        if hv is None:
+            hv = h_eval(y, s, n, session)
         if hv != gv:
             run_start = n + 1
             last = None
@@ -342,9 +354,25 @@ def ghs_witness(
     shared by every m that lists it: all depths from K up to the next one
     were compared, and agree except the disagreeing one if that is at or
     above K. So each gamma_eval and each h_eval comparison is made once,
-    and a K whose window holds a known disagreement fails at once.
+    and a K whose window holds a known disagreement fails at once. A
+    comparison reads h from the memo first, as stabilize does.
+
+    The tails of one depth's listing hold sum t*(value_cap+1)^t entries
+    over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
+    is raised before any listing; counting stops once it does, and spends
+    no fuel.
     """
+    left = session.fuel.remaining
+    count = 0
+    for tlen in range(1, tail_cap + 1):
+        count += tlen * (value_cap + 1) ** tlen
+        if count > left:
+            raise FuelExhausted(
+                f"ghs_witness({y.name}): candidate tails up to length {tlen} hold "
+                f"{count} entries, more than the {left} fuel steps left"
+            )
     window = session.window
+    memo = session._values
     known: dict[tuple[int, ...], list] = {}
     candidates: dict[int, list[list]] = {}
     for k0 in range(session.nmax + 1):
@@ -363,7 +391,12 @@ def ghs_witness(
                 if value is None:
                     value = state[1] = gamma_eval(y, s, session)
                 n = max(n, k0)
-                while n <= top and h_eval(y, s, n, session) == value:
+                while n <= top:
+                    hv = memo.get(("h", s.items[:n], n))
+                    if hv is None:
+                        hv = h_eval(y, s, n, session)
+                    if hv != value:
+                        break
                     n += 1
                 if n <= top:
                     state[2:] = n + 1, n

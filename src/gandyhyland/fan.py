@@ -41,6 +41,13 @@ class ThetaResult:
 
     bound: int
 
+    def within(self, depth: int) -> ThetaResult:
+        """This result, if its bound is at most depth; DepthExceeded
+        otherwise. Guards every listing of the 2^bound points."""
+        if self.bound > depth:
+            raise DepthExceeded(f"theta bound {self.bound} exceeds depth cap {depth}")
+        return self
+
     @cached_property
     def points(self) -> list[Point]:
         return [pad(FinSeq(bits), 0) for bits in product((0, 1), repeat=self.bound)]
@@ -100,11 +107,8 @@ def scf_check(theta: ThetaResult, g: Functional, tree: BinTree, depth: int) -> b
     Vacuously true when some theta point stays inside. DepthExceeded guards
     both enumerations and is raised before any theta point is built.
     """
-    if theta.bound > depth:
-        raise DepthExceeded(f"theta bound {theta.bound} exceeds depth cap {depth}")
-    antecedent = all(
-        not tree.member(take(alpha, g.apply(alpha))) for alpha in theta.points
-    )
+    points = theta.within(depth).points
+    antecedent = all(not tree.member(take(alpha, g.apply(alpha))) for alpha in points)
     if not antecedent:
         return True
     for bits in product((0, 1), repeat=theta.bound):

@@ -313,6 +313,13 @@ def test_scf_check_refuses_a_bound_past_the_depth_cap_at_once(capsys):
     )
 
 
+def test_special_fan_refuses_a_bound_past_the_depth_cap_before_listing_points(capsys):
+    assert main(["special-fan", "--expr", "f(9)+f(0)*99"]) == 1
+    assert capsys.readouterr().out == (
+        "special-fan: error[DepthExceeded] theta bound 100 exceeds depth cap 16\n"
+    )
+
+
 def test_usage_errors_go_to_stderr(capsys):
     assert main(["eval-gh", "--expr", "f(0)+"]) == 2
     captured = capsys.readouterr()

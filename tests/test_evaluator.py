@@ -555,13 +555,15 @@ def test_ghs_witness_is_the_least_uniform_depth(tree, period):
     # some K at or below nmax pass: neither side can fail. A narrower
     # window lets stabilization settle on a short false plateau, which the
     # equation check rejects while the oracle still has an answer.
+    # A memo-free session reads nothing back, so it checks the direct memo
+    # reads in stabilize and ghs_witness from outside.
     reach = _reach(tree)
     y = functional_from_ast(tree)
     alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
-    session = make_session(window=reach, nmax=reach)
-    assert ghs_witness(y, alpha, session, value_cap=1, tail_cap=1) == brute_ghs_witness(
-        y, alpha, reach, reach, value_cap=1, tail_cap=1
-    )
+    expected = brute_ghs_witness(y, alpha, reach, reach, value_cap=1, tail_cap=1)
+    for memo_enabled in (True, False):
+        session = make_session(window=reach, nmax=reach, memo_enabled=memo_enabled)
+        assert ghs_witness(y, alpha, session, value_cap=1, tail_cap=1) == expected, memo_enabled
 
 
 def test_memo_is_write_once():
@@ -637,6 +639,41 @@ def test_session_serves_one_functional():
     h_eval(functional_fixture("sum01"), EMPTY, 0, session)
     with pytest.raises(InvariantViolation):
         h_eval(functional_fixture("nest"), EMPTY, 0, session)
+
+
+def test_a_warm_memo_is_not_read_for_another_functional():
+    # stabilize and ghs_witness read warm levels from the memo directly;
+    # the session must still refuse a second functional before any read.
+    y, other = functional_fixture("sum01"), functional_fixture("nest")
+    session = make_session()
+    stabilize(y, EMPTY, session)
+    ghs_witness(y, constant_point(0), session)
+    with pytest.raises(InvariantViolation):
+        stabilize(other, EMPTY, session)
+    with pytest.raises(InvariantViolation):
+        ghs_witness(other, constant_point(0), session)
+
+
+@pytest.mark.parametrize(
+    "fuel, tlen, entries",
+    [
+        (100, 3, 228),  # counting stops at the first tail length past the fuel
+        (1000, 4, 1252),
+    ],
+)
+def test_ghs_refuses_candidate_tails_that_fuel_cannot_cover(fuel, tlen, entries):
+    # Tails of length t hold t*(value_cap+1)^t entries; their sum is checked
+    # against the fuel left before anything is listed or evaluated.
+    session = make_session(fuel_steps=fuel)
+    with pytest.raises(FuelExhausted) as exc:
+        ghs_witness(
+            functional_fixture("sum01"), constant_point(0), session, value_cap=3, tail_cap=4
+        )
+    assert str(exc.value) == (
+        f"ghs_witness(f(0)+f(1)): candidate tails up to length {tlen} hold {entries} "
+        f"entries, more than the {fuel} fuel steps left"
+    )
+    assert session.fuel.remaining == fuel
 
 
 @pytest.mark.parametrize("memo_enabled", [True, False])
