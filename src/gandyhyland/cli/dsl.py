@@ -239,7 +239,9 @@ def eval_ast(node: FunctionalSpecAst, point: Point) -> int:
         return eval_ast(branch, point)
     if isinstance(node, Least):
         for j in range(node.bound):
-            view = Point(lambda i, _j=j: point.value_at(i + _j), name=f"{point.name}>>{j}")
+            view = Point(
+                lambda i, _j=j: point.value_at(i + _j), lambda _j=j: f"{point.name}>>{_j}"
+            )
             if eval_ast(node.body, view) == 0:
                 return j
         return node.bound
@@ -266,7 +268,7 @@ def functional_from_ast(node: FunctionalSpecAst) -> Functional:
                 deepest["i"] = i
             return point.value_at(i)
 
-        eval_ast(node, Point(gen, name=f"tracked {point.name}"))
+        eval_ast(node, Point(gen, lambda: f"tracked {point.name}"))
         return deepest["i"] + 1
 
     return Functional(apply=apply, modulus=modulus, name=render(node))

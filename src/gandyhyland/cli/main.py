@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from ..errors import (
+    DepthExceeded,
     GandyHylandError,
     IoError,
     ParseError,
@@ -399,7 +401,7 @@ COMMANDS: dict[str, Command] = {
         lambda cfg: (full_fan_modulus(_functional(cfg), _height(cfg), Fuel(cfg.fuel)), {}),
         ("functional", "hconst"),
     ),
-    "special-fan": Command(_special_fan, ("functional",)),
+    "special-fan": Command(_special_fan, ("functional", "depth")),
     "scf-check": Command(_scf_check, ("functional", "depth", "tree")),
     "pwc": Command(
         lambda cfg: (pwc_bound(_functional(cfg), _point(cfg), _height(cfg), Fuel(cfg.fuel)), {}),
@@ -443,6 +445,50 @@ def _record(cmd: str, command: Command, cfg: RunConfig) -> ResultRecord:
     return ResultRecord(
         operation=cmd, inputs=inputs, output=output, error=error, probes=probes, wall_ms=wall_ms
     )
+
+
+# A depth level of an approximation nests a few Python frames per read
+# (about 7 for f(k), more for nested expressions), so deep --nmax runs pass
+# the default limit of 1000 frames. main runs each command on one thread
+# whose stack holds _STACK_BYTES, with a recursion limit of _FRAMES_PER_LEVEL
+# per --nmax level, capped at _MAX_FRAMES: a frame that recurses through
+# builtins takes under 1 KiB of C stack on CPython 3.11, so the cap leaves
+# the stack more than a twofold margin.
+_STACK_BYTES = 512 << 20
+_FRAMES_PER_LEVEL = 64
+_MAX_FRAMES = 200_000
+
+
+def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
+    """run_command on one thread with a large stack. A RecursionError that
+    still escapes becomes a DepthExceeded record naming the frame limit."""
+    limit = min(_MAX_FRAMES, max(sys.getrecursionlimit(), _FRAMES_PER_LEVEL * cfg.nmax))
+    outcome: list = []
+
+    def body() -> None:
+        try:
+            outcome.append(run_command(cmd, cfg))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    old_limit = sys.getrecursionlimit()
+    old_stack = threading.stack_size(_STACK_BYTES)
+    sys.setrecursionlimit(limit)
+    try:
+        worker = threading.Thread(target=body, name=f"gandyhyland {cmd}", daemon=True)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(old_stack)
+        sys.setrecursionlimit(old_limit)
+    result = outcome.pop()
+    if isinstance(result, RecursionError):
+        message = f"recursion passed {limit} Python frames, the limit for --nmax {cfg.nmax}"
+        error = {"type": DepthExceeded.__name__, "message": message}
+        return ResultRecord(cmd, _describe_inputs(COMMANDS[cmd], cfg), None, error)
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def _exit_code(record: ResultRecord) -> int:
@@ -503,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     cmd = fields.pop("cmd")
     cfg = RunConfig(**fields)
     try:
-        record = run_command(cmd, cfg)
+        record = _run_on_large_stack(cmd, cfg)
     except (ParseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ from .functionals import (
     gamma_flag,
     indexed_value,
 )
-from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decode, extend, pad, take
+from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decode, pad, take
 
 DEFAULT_SESSION_FUEL = 1_000_000
 
@@ -72,6 +72,9 @@ class EvalSession:
     at the position carrying it (BoundExceeded otherwise). Set it before
     the session's first evaluation and leave it: a memo entry is checked
     once, when it is written, under the bound in force then.
+
+    The claim also fixes the fuel context of each kind of node, the text
+    a FuelExhausted raised at that node names, so it is formatted once.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -84,18 +87,20 @@ class EvalSession:
         default_factory=dict, init=False, repr=False
     )
     _owner: Functional | None = field(default=None, init=False, repr=False)
+    _contexts: dict[str, str] = field(default_factory=dict, init=False, repr=False)
 
     def child(self) -> EvalSession:
         """Same knobs, fresh fuel and fresh tables."""
         return replace(self, fuel=Fuel(self.fuel.budget))
 
     def claim(self, y: Functional) -> None:
-        if self._owner is None:
+        if self._owner is not y:
+            if self._owner is not None:
+                raise InvariantViolation(
+                    f"session already serves {self._owner.name}, refused {y.name}"
+                )
             self._owner = y
-        elif self._owner is not y:
-            raise InvariantViolation(
-                f"session already serves {self._owner.name}, refused {y.name}"
-            )
+            self._contexts = {kind: f"{kind}_eval({y.name})" for kind in ("h", "hhat", "g")}
 
     def memo_get(self, key: MemoKey) -> int | None:
         if not self.memo_enabled:
@@ -142,7 +147,7 @@ def _depth_eval(
     cached = session.memo_get(key)
     if cached is not None:
         return cached
-    session.fuel.spend(f"{kind}_eval({y.name})")
+    session.fuel.spend(session._contexts[kind])
     if len(s) >= m:
         value = y.apply(pad(take(s, m), pad_value))
     else:
@@ -156,10 +161,12 @@ def _depth_eval(
                 return 0
             j = i - k
             if j <= m:
-                return _depth_eval(y, extend(s, j), m, session, kind, pad_value)
+                return _depth_eval(
+                    y, _from_trusted_tuple(items + (j,)), m, session, kind, pad_value
+                )
             return pad_value
 
-        value = y.apply(Point(gen, name=f"{kind}-block {list(items)}@{m}"))
+        value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{m}"))
     session.memo_put(key, value)
     return value
 
@@ -191,7 +198,7 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     cached = session.memo_get(key)
     if cached is not None:
         return cached
-    session.fuel.spend(f"g_eval({y.name})")
+    session.fuel.spend(session._contexts["g"])
     if len(s) >= n:
         value = y.apply(pad(s, 0))
     else:
@@ -204,7 +211,7 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
                 return items[i]
             if i == k:
                 return 0
-            child = g_eval(y, extend(s, i - k), n, session)
+            child = g_eval(y, _from_trusted_tuple(items + (i - k,)), n, session)
             if bound is not None and child > bound.value_at(i):
                 raise BoundExceeded(
                     f"child value {child} at position {i} exceeds bound "
@@ -212,7 +219,7 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
                 )
             return child
 
-        value = y.apply(Point(gen, name=f"g-block {list(items)}@{n}"))
+        value = y.apply(Point(gen, lambda: f"g-block {list(items)}@{n}"))
     session.memo_put(key, value)
     return value
 
@@ -274,9 +281,9 @@ def gh_check(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> bool:
             return items[i]
         if i == k:
             return 0
-        return gamma(extend(s, i - k))
+        return gamma(_from_trusted_tuple(items + (i - k,)))
 
-    rhs = y.apply(Point(gen, name=f"gh-block {list(items)}"))
+    rhs = y.apply(Point(gen, lambda: f"gh-block {list(items)}"))
     return lhs == rhs
 
 
@@ -474,7 +481,7 @@ class _Recorder:
                 reads.append((i, v))
                 return v
 
-            answer = inner(Point(gen, name=f"traced {point.name}"))
+            answer = inner(Point(gen, lambda: f"traced {point.name}"))
             dialogue = tuple(reads)
             prev = table.setdefault(dialogue, answer)
             if prev != answer:

@@ -56,21 +56,26 @@ class ThetaResult:
 def _bar_values(y: Functional, h: Point, sigma: FinSeq, fuel: Fuel) -> tuple[set[int], int]:
     """Value set of y over h-bounded extensions of sigma, plus the deepest
     node below which values still disagree (-1 when none does)."""
-    fuel.spend(f"bar search({y.name})")
-    p = pad(sigma, 0)
-    if y.modulus is None:
-        raise InvariantViolation(f"{y.name} has no modulus; bar search needs one")
-    if y.modulus(p) <= len(sigma):
-        return {y.apply(p)}, -1
-    vals: set[int] = set()
-    conflict = -1
-    for v in range(h.value_at(len(sigma)) + 1):
-        child_vals, child_conflict = _bar_values(y, h, extend(sigma, v), fuel)
-        vals |= child_vals
-        conflict = max(conflict, child_conflict)
-    if len(vals) > 1:
-        conflict = max(conflict, len(sigma))
-    return vals, conflict
+    context = f"bar search({y.name})"
+
+    def walk(sigma: FinSeq) -> tuple[set[int], int]:
+        fuel.spend(context)
+        p = pad(sigma, 0)
+        if y.modulus is None:
+            raise InvariantViolation(f"{y.name} has no modulus; bar search needs one")
+        if y.modulus(p) <= len(sigma):
+            return {y.apply(p)}, -1
+        vals: set[int] = set()
+        conflict = -1
+        for v in range(h.value_at(len(sigma)) + 1):
+            child_vals, child_conflict = walk(extend(sigma, v))
+            vals |= child_vals
+            conflict = max(conflict, child_conflict)
+        if len(vals) > 1:
+            conflict = max(conflict, len(sigma))
+        return vals, conflict
+
+    return walk(sigma)
 
 
 def full_fan_modulus(y: Functional, h: Point, fuel: Fuel) -> int:
@@ -127,9 +132,10 @@ def pwc_bound(y: Functional, f: Point, h: Point, fuel: Fuel) -> int:
     compared against n; the maximum only shrinks as n grows, so the scan
     terminates at the latest when n passes the unconstrained maximum.
     """
+    context = f"pwc_bound({y.name})"
     n = 0
     while True:
-        fuel.spend(f"pwc_bound({y.name})")
+        fuel.spend(context)
         if any(f.value_at(i) > h.value_at(i) for i in range(n)):
             return n
         vals, _ = _bar_values(y, h, take(f, n), fuel)

@@ -76,20 +76,31 @@ class Point:
     so a point is also a record of which positions have been forced. Points
     are session-confined: nothing here is safe against concurrent mutation
     from several threads, and nothing in the package needs it to be.
+
+    The name may be given as a zero-argument callable, called on the first
+    read of name: points built per evaluation node are named only when an
+    error message or a repr asks.
     """
 
-    __slots__ = ("_gen", "_cache", "name")
+    __slots__ = ("_gen", "_cache", "_name")
 
-    def __init__(self, gen: Callable[[int], int], name: str = "point"):
+    def __init__(self, gen: Callable[[int], int], name: str | Callable[[], str] = "point"):
         self._gen = gen
         self._cache: dict[int, int] = {}
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if not isinstance(name, str):
+            name = self._name = name()
+        return name
 
     def value_at(self, n: int) -> int:
-        if n < 0:
-            raise IndexOutOfRange(f"points have no value at {n}")
         v = self._cache.get(n)
         if v is None:
+            if n < 0:
+                raise IndexOutOfRange(f"points have no value at {n}")
             v = self._gen(n)
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"point {self.name} produced non-natural {v!r} at {n}")
@@ -110,7 +121,7 @@ def pad(s: FinSeq, c: int) -> Point:
     """The point that starts with s and is constantly c afterwards."""
     items = s.items
     k = len(items)
-    return Point(lambda n: items[n] if n < k else c, name=f"{list(items)}*{c}..")
+    return Point(lambda n: items[n] if n < k else c, lambda: f"{list(items)}*{c}..")
 
 
 def _from_trusted_tuple(items: tuple[int, ...]) -> FinSeq:
@@ -133,12 +144,8 @@ def take(x: FinSeq | Point, n: int) -> FinSeq:
     if isinstance(x, FinSeq):
         if n > len(x):
             raise IndexOutOfRange(f"take({n}) from sequence of length {len(x)}")
-        return FinSeq(x.items[:n])
+        return _from_trusted_tuple(x.items[:n])
     return FinSeq(x.value_at(i) for i in range(n))
-
-
-def concat(s: FinSeq, t: FinSeq) -> FinSeq:
-    return FinSeq(s.items + t.items)
 
 
 def extend(s: FinSeq, v: int) -> FinSeq:
@@ -148,10 +155,6 @@ def extend(s: FinSeq, v: int) -> FinSeq:
     """
     _check_natural(v)
     return _from_trusted_tuple(s.items + (v,))
-
-
-def is_prefix(s: FinSeq, t: FinSeq) -> bool:
-    return len(s) <= len(t) and t.items[: len(s)] == s.items
 
 
 # Cantor pairing. pair is a bijection N x N -> N; both halves recoverable.

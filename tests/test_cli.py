@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from gandyhyland.cli.dsl import (
     render,
 )
 from gandyhyland.cli.checks import CheckResult
+from gandyhyland.cli import main as cli_main
 from gandyhyland.cli.fixtures import expr_functional, parse_seq
 from gandyhyland.cli.main import (
     RESULTS_SCHEMA,
@@ -200,7 +202,8 @@ FUEL = RunConfig().fuel
          {"functional": "flag-gamma", "m0": 3, "fuel": FUEL}),
         ("full-fan", RunConfig(fixture="proj3", hconst=5),
          {"functional": "proj3", "hconst": 5, "fuel": FUEL}),
-        ("special-fan", RunConfig(expr="f(0)+1"), {"functional": "f(0)+1", "fuel": FUEL}),
+        ("special-fan", RunConfig(expr="f(0)+1"),
+         {"functional": "f(0)+1", "depth": None, "fuel": FUEL}),
         ("scf-check", RunConfig(fixture="const2", tree="full-3"),
          {"functional": "const2", "depth": None, "tree": "full-3", "fuel": FUEL}),
         ("pwc", RunConfig(fixture="proj1", hconst=1, seq="1", pad_value=2),
@@ -318,6 +321,25 @@ def test_special_fan_refuses_a_bound_past_the_depth_cap_before_listing_points(ca
     assert capsys.readouterr().out == (
         "special-fan: error[DepthExceeded] theta bound 100 exceeds depth cap 16\n"
     )
+
+
+def test_a_deep_nmax_run_gets_the_stack_it_needs(capsys):
+    # f(150) nests about a thousand Python frames, past the default limit.
+    limit, threads = sys.getrecursionlimit(), threading.active_count()
+    assert main(["eval-gh", "--expr", "f(150)", "--nmax", "400"]) == 0
+    assert capsys.readouterr().out == 'eval-gh: {"value": 0, "depth": 0}\n'
+    assert (sys.getrecursionlimit(), threading.active_count()) == (limit, threads)
+
+
+def test_recursion_past_the_frame_limit_exits_with_depth_exceeded(monkeypatch, capsys):
+    monkeypatch.setattr(cli_main, "_MAX_FRAMES", 600)
+    limit = sys.getrecursionlimit()
+    assert main(["eval-gh", "--expr", "f(150)", "--nmax", "400"]) == 1
+    assert capsys.readouterr().out == (
+        "eval-gh: error[DepthExceeded] recursion passed 600 Python frames, "
+        "the limit for --nmax 400\n"
+    )
+    assert sys.getrecursionlimit() == limit
 
 
 def test_usage_errors_go_to_stderr(capsys):

@@ -676,6 +676,24 @@ def test_ghs_refuses_candidate_tails_that_fuel_cannot_cover(fuel, tlen, entries)
     assert session.fuel.remaining == fuel
 
 
+@pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (g_eval, "g")])
+def test_a_block_meeting_a_non_natural_child_names_the_block(approx, kind):
+    # Block points are named only when something reads the name; the error
+    # raised for a non-natural child must still carry it.
+    y = Functional(apply=lambda p: p.value_at(2) - 1, name="dips")
+    with pytest.raises(ValueError) as exc:
+        approx(y, FinSeq((2,)), 2, make_session())
+    assert str(exc.value) == f"point {kind}-block [2]@2 produced non-natural -1 at 2"
+
+
+@pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (h_hat_eval, "hhat"), (g_eval, "g")])
+def test_a_node_that_runs_dry_names_its_kind_and_functional(approx, kind):
+    # The first node spends the only step, and its first child runs dry.
+    with pytest.raises(FuelExhausted) as exc:
+        approx(expr_functional("f(1)+f(2)"), EMPTY, 3, make_session(fuel_steps=1))
+    assert str(exc.value) == f"{kind}_eval(f(1)+f(2)): no steps left of 1"
+
+
 @pytest.mark.parametrize("memo_enabled", [True, False])
 def test_child_keeps_the_knobs_with_fresh_fuel_and_tables(memo_enabled):
     y = functional_fixture("sum01")

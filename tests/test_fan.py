@@ -73,6 +73,24 @@ def test_fan_search_runs_out_of_fuel_when_starved():
         fan_modulus(functional_fixture("flag-gamma", m0=3), Fuel(5))
 
 
+@pytest.mark.parametrize(
+    "search, fuel, message",
+    [
+        # the root node spends the only step; its first child runs dry
+        (lambda y, fuel: fan_modulus(y, fuel), 1, "bar search(f(2)): no steps left of 1"),
+        (lambda y, fuel: pwc_bound(y, constant_point(0), constant_point(1), fuel), 0,
+         "pwc_bound(f(2)): no steps left of 0"),
+        # pwc's first step and the 15 nodes of its first bar search use all 16
+        (lambda y, fuel: pwc_bound(y, constant_point(0), constant_point(1), fuel), 16,
+         "pwc_bound(f(2)): no steps left of 16"),
+    ],
+)
+def test_a_search_that_runs_dry_names_itself_and_the_functional(search, fuel, message):
+    with pytest.raises(FuelExhausted) as exc:
+        search(expr_functional("f(2)"), Fuel(fuel))
+    assert str(exc.value) == message
+
+
 def test_special_fan_shapes():
     for name, (bound, count) in (
         ("const2", SPECIAL_FAN_CONST2),

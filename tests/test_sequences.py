@@ -10,11 +10,9 @@ from gandyhyland import (
     IndexOutOfRange,
     Point,
     code,
-    concat,
     constant_point,
     decode,
     extend,
-    is_prefix,
     pad,
     take,
 )
@@ -52,17 +50,6 @@ def test_finseq_equality_and_hash():
     assert len({FinSeq((1,)), FinSeq((1,)), FinSeq((2,))}) == 2
 
 
-@given(seqs, seqs, seqs)
-def test_concat_associative(a, b, c):
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
-
-
-@given(seqs)
-def test_concat_empty_is_identity(s):
-    assert concat(s, EMPTY) == s
-    assert concat(EMPTY, s) == s
-
-
 @given(seqs, st.integers(min_value=0, max_value=5))
 def test_take_of_pad_recovers_prefix(s, c):
     assert take(pad(s, c), len(s)) == s
@@ -85,15 +72,7 @@ def test_extend_appends_one_entry(s, v):
     e = extend(s, v)
     assert len(e) == len(s) + 1
     assert e[len(s)] == v
-    assert is_prefix(s, e)
-
-
-@given(seqs, seqs)
-def test_is_prefix_agrees_with_concat(a, b):
-    assert is_prefix(a, concat(a, b))
-    # a proper extension is never a prefix of its base
-    if len(b) > 0:
-        assert not is_prefix(concat(a, b), a)
+    assert take(e, len(s)) == s
 
 
 def test_code_anchors():
@@ -135,6 +114,13 @@ def test_point_rejects_bad_generator_output():
     p = Point(lambda n: -2, name="bad")
     with pytest.raises(ValueError):
         p.value_at(0)
+
+
+def test_pad_names_its_point_on_demand():
+    p = pad(FinSeq([1, 2]), 0)
+    assert repr(p) == "Point([1, 2]*0..)"
+    assert p.name == "[1, 2]*0.."
+    assert repr(Point(lambda n: n, lambda: "late")) == "Point(late)"
 
 
 def test_constant_point():
