@@ -244,23 +244,23 @@ def check_herbrand_replay() -> Iterator[str]:
     for y in catalog_functionals():
         for s in starts:
             witness = herbrand_trace(y, s, make_session())
-            if not replay_check(witness, s, make_session()):
+            if not replay_check(witness):
                 yield f"{y.name} at {s}: clean replay fails"
                 continue
-            traces.append((witness, s, y.name))
-    for witness, s, name in traces:
+            traces.append((witness, y.name))
+    for witness, name in traces:
         for index in range(len(witness.probes["apply"])):
             try:
-                clean = replay_check(_mutated(witness, index), s, make_session())
+                clean = replay_check(_mutated(witness, index))
             except (OutOfTableQuery, FuelExhausted):
                 clean = False
             if clean:
-                yield f"{name} at {s}: apply[{index}] mutation slipped through"
+                yield f"{name} at {witness.seq}: apply[{index}] mutation slipped through"
     if traces:
-        witness, s, _ = traces[0]
+        witness = traces[0][0]
         spare = (tuple((i, 9) for i in range(10)), 42)
         extra = replace(witness, probes={"apply": witness.probes["apply"] + [spare]})
-        if not replay_check(extra, s, make_session()):
+        if not replay_check(extra):
             yield "an unused extra table row broke replay"
 
 

@@ -140,13 +140,13 @@ def read_json(path: str) -> list[ResultRecord]:
     return [ResultRecord.from_dict(entry) for entry in body]
 
 
-def write_trace(witness: HerbrandWitness, path: str, run: dict) -> None:
+def write_trace(witness: HerbrandWitness, path: str) -> None:
     """Write the witness and the run it records (start seq, window, nmax).
     JSON writes the witness's tuples as lists, which read_trace turns back."""
     payload = {
         "schema": TRACE_SCHEMA,
         "version": 2,
-        "run": run,
+        "run": {"seq": list(witness.seq), "window": witness.window, "nmax": witness.nmax},
         "witness": {
             "probes": {"apply": witness.probes["apply"]},
             "depth": witness.depth,
@@ -170,13 +170,11 @@ def _is_naturals(x: object, length: int) -> bool:
     return isinstance(x, list) and len(x) == length and all(map(_is_natural, x))
 
 
-def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
-    """The witness and the recorded run, None in files that predate it.
+def read_trace(path: str) -> HerbrandWitness:
+    """The witness a write_trace file holds, under the run it records.
 
-    IoError if the file does not have write_trace's shape. A version-1 row
-    holds the dense prefix p up to the deepest read in place of a dialogue,
-    and is read as the dialogue enumerate(p). Other groups under probes,
-    which earlier files carry empty, are ignored.
+    IoError if the file does not have write_trace's shape, version 2 with
+    its run included. Groups under probes other than apply are ignored.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -187,11 +185,10 @@ def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
         raise IoError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != TRACE_SCHEMA:
         raise IoError(f"{path}: not a trace file")
-    version = payload.get("version")
-    if version not in (1, 2):
-        raise IoError(f"{path}: unsupported trace version {version!r}")
+    if payload.get("version") != 2:
+        raise IoError(f"{path}: unsupported trace version {payload.get('version')!r}")
     run = payload.get("run")
-    if run is not None and not (
+    if not (
         isinstance(run, dict)
         and set(run) == {"seq", "window", "nmax"}
         and isinstance(run["seq"], list)
@@ -204,19 +201,18 @@ def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
         raise IoError(
             f"{path}: malformed witness: expected an object whose probes map groups to rows"
         )
-    is_read = _is_natural if version == 1 else lambda read: _is_naturals(read, 2)
     entries = raw["probes"].get("apply")
     if not isinstance(entries, list) or not all(
         isinstance(row, list)
         and len(row) == 2
         and isinstance(row[0], list)
-        and all(map(is_read, row[0]))
+        and all(_is_naturals(read, 2) for read in row[0])
         and _is_natural(row[1])
         for row in entries
     ):
         raise IoError(
-            f"{path}: malformed witness: probes.apply rows must be [list of "
-            f"{'naturals' if version == 1 else '[position, value] pairs'}, natural]"
+            f"{path}: malformed witness: probes.apply rows must be "
+            "[list of [position, value] pairs, natural]"
         )
     for name in ("depth", "result"):
         if not _is_natural(raw.get(name)):
@@ -224,13 +220,15 @@ def read_trace(path: str) -> tuple[HerbrandWitness, dict | None]:
     trajectory = raw.get("trajectory")
     if not isinstance(trajectory, list) or not all(_is_naturals(t, 3) for t in trajectory):
         raise IoError(f"{path}: malformed witness: trajectory rows must be three naturals")
-    as_dialogue = enumerate if version == 1 else lambda reads: map(tuple, reads)
     return HerbrandWitness(
-        probes={"apply": [(tuple(as_dialogue(reads)), answer) for reads, answer in entries]},
+        probes={"apply": [(tuple(map(tuple, reads)), answer) for reads, answer in entries]},
         depth=raw["depth"],
         result=raw["result"],
         trajectory=[tuple(step) for step in trajectory],
-    ), run
+        seq=FinSeq(run["seq"]),
+        window=run["window"],
+        nmax=run["nmax"],
+    )
 
 
 def _functional(cfg: RunConfig) -> Functional:
@@ -351,24 +349,15 @@ def _probe_counts(witness: HerbrandWitness) -> dict:
     return {group: len(entries) for group, entries in witness.probes.items()}
 
 
-def _run(cfg: RunConfig) -> dict:
-    return {"seq": list(_seq(cfg)), "window": cfg.window, "nmax": cfg.nmax}
-
-
 def _trace(cfg: RunConfig):
     witness = herbrand_trace(_functional(cfg), _seq(cfg), _session(cfg))
-    write_trace(witness, _require(cfg.trace_path, "--trace"), _run(cfg))
+    write_trace(witness, _require(cfg.trace_path, "--trace"))
     return {"depth": witness.depth, "result": witness.result}, _probe_counts(witness)
 
 
 def _replay(cfg: RunConfig):
-    witness, run = read_trace(_require(cfg.trace_path, "--trace"))
-    if run is not None and run != _run(cfg):
-        raise ValueError(
-            f"the trace was recorded with --seq {','.join(map(str, run['seq']))!r} "
-            f"--window {run['window']} --nmax {run['nmax']}; replay it with the same values"
-        )
-    return replay_check(witness, _seq(cfg), _session(cfg)), _probe_counts(witness)
+    witness = read_trace(_require(cfg.trace_path, "--trace"))
+    return replay_check(witness, cfg.fuel), _probe_counts(witness)
 
 
 def _check_all(cfg: RunConfig):
@@ -409,7 +398,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "ghs": Command(_ghs, ("functional", "seq", "pad", "value_cap", "tail_cap")),
     "trace": Command(_trace, ("functional", "seq", "trace")),
-    "replay": Command(_replay, ("seq", "trace")),
+    "replay": Command(_replay, ("trace",)),
     "mu": Command(lambda cfg: (mu(_point(cfg), Fuel(cfg.fuel)), {}), ("seq", "pad")),
     "check-all": Command(_check_all, show=_print_checks, passed=lambda output: output["passed"]),
 }
@@ -449,20 +438,18 @@ def _record(cmd: str, command: Command, cfg: RunConfig) -> ResultRecord:
 
 # A depth level of an approximation nests a few Python frames per read
 # (about 7 for f(k), more for nested expressions), so deep --nmax runs pass
-# the default limit of 1000 frames. main runs each command on one thread
-# whose stack holds _STACK_BYTES, with a recursion limit of _FRAMES_PER_LEVEL
-# per --nmax level, capped at _MAX_FRAMES: a frame that recurses through
-# builtins takes under 1 KiB of C stack on CPython 3.11, so the cap leaves
-# the stack more than a twofold margin.
+# the default limit of 1000 frames, and so can a shallow value that reads
+# far along its point. main runs each command on one thread whose stack
+# holds _STACK_BYTES, with a recursion limit of _MAX_FRAMES: a frame that
+# recurses through builtins takes under 1 KiB of C stack on CPython 3.11,
+# so the limit leaves the stack more than a twofold margin.
 _STACK_BYTES = 512 << 20
-_FRAMES_PER_LEVEL = 64
 _MAX_FRAMES = 200_000
 
 
 def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
     """run_command on one thread with a large stack. A RecursionError that
     still escapes becomes a DepthExceeded record naming the frame limit."""
-    limit = min(_MAX_FRAMES, max(sys.getrecursionlimit(), _FRAMES_PER_LEVEL * cfg.nmax))
     outcome: list = []
 
     def body() -> None:
@@ -473,7 +460,7 @@ def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
 
     old_limit = sys.getrecursionlimit()
     old_stack = threading.stack_size(_STACK_BYTES)
-    sys.setrecursionlimit(limit)
+    sys.setrecursionlimit(_MAX_FRAMES)
     try:
         worker = threading.Thread(target=body, name=f"gandyhyland {cmd}", daemon=True)
         worker.start()
@@ -483,7 +470,7 @@ def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
         sys.setrecursionlimit(old_limit)
     result = outcome.pop()
     if isinstance(result, RecursionError):
-        message = f"recursion passed {limit} Python frames, the limit for --nmax {cfg.nmax}"
+        message = f"recursion passed {_MAX_FRAMES} Python frames"
         error = {"type": DepthExceeded.__name__, "message": message}
         return ResultRecord(cmd, _describe_inputs(COMMANDS[cmd], cfg), None, error)
     if isinstance(result, BaseException):

@@ -448,13 +448,18 @@ class HerbrandWitness:
     non-truncating value) for every depth the stabilization search
     visited. The trajectory matters for tamper detection: an answer
     consumed only below the settling depth leaves depth and result alone
-    but shows up as a changed entry here.
+    but shows up as a changed entry here. seq, window and nmax are the run:
+    the start sequence and the settling knobs the trace was made under,
+    which its replay uses, since the same answers replay false under others.
     """
 
     probes: dict[str, list[tuple[Dialogue, int]]]
     depth: int
     result: int
     trajectory: list[tuple[int, int, int]]
+    seq: FinSeq
+    window: int
+    nmax: int
 
 
 class _Recorder:
@@ -508,6 +513,9 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
         depth=depth,
         result=result,
         trajectory=trajectory,
+        seq=s,
+        window=fresh.window,
+        nmax=fresh.nmax,
     )
 
 
@@ -528,11 +536,11 @@ def _stub_operation(entries: list[tuple[Dialogue, int]]) -> Callable[[Point], in
     is the one read next and children maps the value read to the next
     node. The first row through a node fixes its position; a later row
     asking another position there is ignored, so replay fails closed. A
-    lookup follows the point down the tree and returns the deepest answer
-    it passed: for version-1 rows, whose dialogues read 0, 1, ... in
-    order, the answer of the longest matching prefix. A run that mirrors
-    the traced one reads exactly the positions the trace read. A point
-    matching no row raises OutOfTableQuery.
+    lookup follows the point down the tree to the first node that holds
+    an answer and returns it; a deterministic Y never records a dialogue
+    that is a strict prefix of another, so a run that mirrors the traced
+    one reads exactly the positions the trace read. A point that leaves
+    the tree first raises OutOfTableQuery.
     """
     root: list = [None, None, {}]
     for reads, answer in entries:
@@ -547,23 +555,19 @@ def _stub_operation(entries: list[tuple[Dialogue, int]]) -> Callable[[Point], in
             node[0] = answer
 
     def lookup(point: Point) -> int:
-        best, position, children = root
-        while position is not None:
-            node = children.get(point.value_at(position))
-            if node is None:
-                break
+        answer, position, children = root
+        while answer is None:
+            if position is None or (node := children.get(point.value_at(position))) is None:
+                raise OutOfTableQuery("no recorded apply answer matches the argument")
             answer, position, children = node
-            if answer is not None:
-                best = answer
-        if best is None:
-            raise OutOfTableQuery("no recorded apply answer matches the argument")
-        return best
+        return answer
 
     return lookup
 
 
-def replay_check(w: HerbrandWitness, s: FinSeq, session: EvalSession) -> bool:
-    """Re-run gamma_eval at s with the witness standing in for Y.
+def replay_check(w: HerbrandWitness, fuel_steps: int = DEFAULT_SESSION_FUEL) -> bool:
+    """Re-run gamma_eval under the witness's run, with the witness standing
+    in for Y, on a session of fuel_steps fresh fuel.
 
     True iff the replayed run reproduces the recorded stable value, the
     recorded stabilization depth, and the whole per-depth trajectory. A
@@ -572,14 +576,14 @@ def replay_check(w: HerbrandWitness, s: FinSeq, session: EvalSession) -> bool:
     (OutOfTableQuery propagates).
     """
     stub = Functional(apply=_stub_operation(w.probes["apply"]), name="replay stub")
-    fresh = session.child()
+    session = make_session(fuel_steps, window=w.window, nmax=w.nmax)
     try:
-        result = gamma_eval(stub, s, fresh)
+        result = gamma_eval(stub, w.seq, session)
     except (GhEquationViolated, StabilizationFailed):
         return False
-    if result != w.result or fresh.gamma_depth(s) != w.depth:
+    if result != w.result or session.gamma_depth(w.seq) != w.depth:
         return False
-    return _trajectory(stub, s, fresh, len(w.trajectory)) == w.trajectory
+    return _trajectory(stub, w.seq, session, len(w.trajectory)) == w.trajectory
 
 
 # Search operators derived from one another.

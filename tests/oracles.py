@@ -208,22 +208,6 @@ def bounded_points(h: Point, length: int) -> list[FinSeq]:
     return [FinSeq(items) for items in product(*ranges)]
 
 
-def brute_longest_prefix_answer(
-    entries: list[tuple[tuple[int, ...], int]], values: list[int]
-) -> int | None:
-    """Answer of the longest recorded prefix that values begins with.
-
-    Of two equal prefixes the later row wins; None when no recorded prefix
-    matches. values must be at least as long as the longest prefix.
-    """
-    best: tuple[int, int] | None = None
-    for prefix, answer in entries:
-        if list(prefix) == values[: len(prefix)]:
-            if best is None or len(prefix) >= best[0]:
-                best = (len(prefix), answer)
-    return None if best is None else best[1]
-
-
 def brute_dialogue_answer(
     entries: list[tuple[tuple[tuple[int, int], ...], int]], values: list[int]
 ) -> int | None:

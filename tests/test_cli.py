@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gandyhyland import (
     EMPTY,
-    EvalSession,
     FinSeq,
+    FuelExhausted,
     Point,
     gamma_eval,
     herbrand_trace,
@@ -39,7 +42,7 @@ from gandyhyland.cli.dsl import (
 )
 from gandyhyland.cli.checks import CheckResult
 from gandyhyland.cli import main as cli_main
-from gandyhyland.cli.fixtures import expr_functional, parse_seq
+from gandyhyland.cli.fixtures import EXPR_FIXTURES, FLAG_FIXTURES, expr_functional, parse_seq
 from gandyhyland.cli.main import (
     RESULTS_SCHEMA,
     ResultRecord,
@@ -48,6 +51,7 @@ from gandyhyland.cli.main import (
     emit_json,
     main,
     read_json,
+    read_trace,
     run_command,
 )
 from oracles import FAN_MODULI
@@ -213,8 +217,8 @@ FUEL = RunConfig().fuel
           "tail_cap": 2, "fuel": FUEL}),
         ("trace", RunConfig(fixture="sum01", seq="0,2", trace_path="run.trace"),
          {"functional": "sum01", "seq": [0, 2], "trace": "run.trace", "fuel": FUEL}),
-        ("replay", RunConfig(seq="0,2", trace_path="run.trace"),
-         {"seq": [0, 2], "trace": "run.trace", "fuel": FUEL}),
+        ("replay", RunConfig(seq="0,2", window=5, nmax=6, trace_path="run.trace"),
+         {"trace": "run.trace", "fuel": FUEL}),
         ("mu", RunConfig(seq="1,1,0", fuel=500), {"seq": [1, 1, 0], "pad": 0, "fuel": 500}),
     ],
 )
@@ -324,10 +328,12 @@ def test_special_fan_refuses_a_bound_past_the_depth_cap_before_listing_points(ca
 
 
 def test_a_deep_nmax_run_gets_the_stack_it_needs(capsys):
-    # f(150) nests about a thousand Python frames, past the default limit.
+    # f(150) nests about a thousand Python frames, past the default limit,
+    # however small --nmax is: the value settles at depth 0.
     limit, threads = sys.getrecursionlimit(), threading.active_count()
-    assert main(["eval-gh", "--expr", "f(150)", "--nmax", "400"]) == 0
-    assert capsys.readouterr().out == 'eval-gh: {"value": 0, "depth": 0}\n'
+    for nmax in ("400", "10"):
+        assert main(["eval-gh", "--expr", "f(150)", "--nmax", nmax]) == 0, nmax
+        assert capsys.readouterr().out == 'eval-gh: {"value": 0, "depth": 0}\n'
     assert (sys.getrecursionlimit(), threading.active_count()) == (limit, threads)
 
 
@@ -336,10 +342,63 @@ def test_recursion_past_the_frame_limit_exits_with_depth_exceeded(monkeypatch, c
     limit = sys.getrecursionlimit()
     assert main(["eval-gh", "--expr", "f(150)", "--nmax", "400"]) == 1
     assert capsys.readouterr().out == (
-        "eval-gh: error[DepthExceeded] recursion passed 600 Python frames, "
-        "the limit for --nmax 400\n"
+        "eval-gh: error[DepthExceeded] recursion passed 600 Python frames\n"
     )
     assert sys.getrecursionlimit() == limit
+
+
+_EXPRS = ["f(0)+1", "f(3)*f(1)", "ifz(f(2), 1, f(0))", "least(2, f(1))", "f(f(0))+f(9)",
+          "f(0)+", "f(", "g(1)", "least(f(0), 1)", ""]
+_FUNCTIONALS = [[], *(["--expr", e] for e in _EXPRS),
+                *(["--fixture", name] for name in [*EXPR_FIXTURES, *FLAG_FIXTURES, "no-such"])]
+_ARGV_FLAGS = {
+    "--seq": st.sampled_from(["", "0", "1,2", "0,2,1", "1,,2", "x"]),
+    "--fuel": st.integers(min_value=0, max_value=10_000),
+    "--nmax": st.integers(min_value=0, max_value=6),
+    **{
+        flag: st.integers(min_value=0, max_value=2)
+        for flag in ("--window", "--value-cap", "--tail-cap", "--depth", "--pad", "--m0",
+                     "--hconst")
+    },
+    "--tree": st.sampled_from(["full-2", "no-consecutive-ones", "no-such"]),
+    "--trace": st.sampled_from(["run.trace", "bad.trace", "missing/run.trace"]),
+    "--json": st.sampled_from(["run.ndjson", "missing/run.ndjson"]),
+}
+
+
+_NEEDED = {"h": "--depth", "g": "--depth", "scf-check": "--tree", "trace": "--trace",
+           "replay": "--trace"}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A command but check-all, a functional or none, the flag the command
+    needs and a few more, malformed values included."""
+    cmd = draw(st.sampled_from([cmd for cmd in cli_main.COMMANDS if cmd != "check-all"]))
+    flags = draw(st.lists(st.sampled_from(sorted(_ARGV_FLAGS)), unique=True, max_size=5))
+    if cmd in _NEEDED and _NEEDED[cmd] not in flags:
+        flags.append(_NEEDED[cmd])
+    argv = [cmd, *draw(st.sampled_from(_FUNCTIONALS))]
+    for flag in flags:
+        argv += [flag, str(draw(_ARGV_FLAGS[flag]))]
+    return argv
+
+
+@settings(deadline=None)
+@given(argv=_argvs())
+def test_no_argv_ends_in_a_traceback(tmp_path_factory, argv):
+    # --trace and --json name files in one directory: a trace run writes
+    # run.trace there, which later replays read.
+    work = tmp_path_factory.getbasetemp() / "argv"
+    work.mkdir(exist_ok=True)
+    (work / "bad.trace").write_text('{"schema": "gandyhyland-trace", "version": 2')
+    argv = [str(work / value) if flag in ("--trace", "--json") else value
+            for flag, value in zip(["", *argv], argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 def test_usage_errors_go_to_stderr(capsys):
@@ -408,54 +467,47 @@ def test_json_flag_writes_the_record(tmp_path):
 def test_trace_then_replay(tmp_path):
     path = str(tmp_path / "run.trace")
     assert main(["trace", "--fixture", "sum01", "--seq", "0,2", "--trace", path]) == 0
-    assert main(["replay", "--seq", "0,2", "--trace", path]) == 0
+    assert main(["replay", "--trace", path]) == 0
 
 
-def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys, monkeypatch):
+def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
     # The probe at position 12 skips positions 1..11; a trace that forced
     # them cost exponential work and ran out of fuel here.
     path = str(tmp_path / "deep.trace")
     assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", path]) == 0
     capsys.readouterr()
-    assert main(["replay", "--window", "14", "--trace", path]) == 0
+    assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    children: list[EvalSession] = []
-    child = EvalSession.child
-
-    def recording_child(self: EvalSession) -> EvalSession:
-        children.append(child(self))
-        return children[-1]
-
-    monkeypatch.setattr(EvalSession, "child", recording_child)
+    # Each of evaluating, tracing and replaying spends exactly 546 steps.
     y = expr_functional("f(12)+1")
-    session = make_session(window=14)
-    assert gamma_eval(y, EMPTY, session) == 13
-    witness = herbrand_trace(y, EMPTY, make_session(window=14))
-    assert replay_check(witness, EMPTY, make_session(window=14))
-    spent = [s.fuel.budget - s.fuel.remaining for s in (session, *children)]
-    assert spent == [546, 546, 546]
+    witness = herbrand_trace(y, EMPTY, make_session(546, window=14))
+    assert gamma_eval(y, EMPTY, make_session(546, window=14)) == 13
+    assert replay_check(witness, 546)
+    for run in (
+        lambda: gamma_eval(y, EMPTY, make_session(545, window=14)),
+        lambda: herbrand_trace(y, EMPTY, make_session(545, window=14)),
+        lambda: replay_check(witness, 545),
+    ):
+        with pytest.raises(FuelExhausted):
+            run()
 
 
-def test_replay_refuses_flags_other_than_the_recorded_run(tmp_path, capsys):
+def test_replay_takes_its_run_from_the_file(tmp_path, capsys):
     path = tmp_path / "deep.trace"
     assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", str(path)]) == 0
     assert json.loads(path.read_text())["run"] == {"seq": [], "window": 14, "nmax": 64}
-    for flags in ([], ["--window", "14", "--seq", "1"], ["--window", "14", "--nmax", "65"]):
+    # The same answers replay false under other knobs; replay never reads
+    # the flags, so every one of these replays the recorded run.
+    witness = read_trace(str(path))
+    assert not replay_check(replace(witness, window=4))
+    assert not replay_check(replace(witness, nmax=5))
+    for flags in ([], ["--window", "4"], ["--window", "14", "--seq", "1"], ["--nmax", "5"]):
         capsys.readouterr()
-        assert main(["replay", "--trace", str(path), *flags]) == 2, flags
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "recorded with --seq '' --window 14 --nmax 64" in captured.err
-    assert main(["replay", "--window", "14", "--trace", str(path)]) == 0
-    assert capsys.readouterr().out == "replay: true\n"
-    # A file without the run, as earlier version-2 files are, replays
-    # under whatever flags are given, as before.
-    payload = json.loads(path.read_text())
-    del payload["run"]
-    path.write_text(json.dumps(payload))
-    assert main(["replay", "--trace", str(path)]) == 1
-    assert main(["replay", "--window", "14", "--trace", str(path)]) == 0
+        assert main(["replay", "--trace", str(path), *flags]) == 0, flags
+        assert capsys.readouterr().out == "replay: true\n"
+    record = run_command("replay", RunConfig(window=4, seq="1", trace_path=str(path)))
+    assert (record.output, record.inputs) == (True, {"trace": str(path), "fuel": FUEL})
 
 
 @pytest.mark.parametrize(
@@ -478,42 +530,8 @@ def test_replay_of_a_malformed_run_is_an_io_error(tmp_path, capsys, run):
     payload["run"] = run
     path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["replay", "--seq", "0,2", "--trace", str(path)]) == 1
+    assert main(["replay", "--trace", str(path)]) == 1
     assert "error[IoError]" in capsys.readouterr().out
-
-
-# Version-1 trace files, written by the tracer that stored each call as the
-# dense prefix up to the deepest position read; each maps `trace --fixture
-# F --seq S` to (S, the file).
-V1_TRACES = {
-    "sum01-at-0,2": ("0,2",
-     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
-     '[[[0, 2], 2], [[0, 0], 0]], "modulus": [], "theta": []}, "depth": 2, "result": 2, '
-     '"trajectory": [[0, 0, 2], [1, 0, 2], [2, 2, 2], [3, 2, 2], [4, 2, 2], [5, 2, 2], '
-     '[6, 2, 2]]}}\n'),
-    "sum01-at-1": ("1",
-     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
-     '[[[1, 0], 1], [[0, 0], 0]], "modulus": [], "theta": []}, "depth": 1, "result": 1, '
-     '"trajectory": [[0, 0, 1], [1, 1, 1], [2, 1, 1], [3, 1, 1], [4, 1, 1], [5, 1, 1]]}}\n'),
-    "flag-gamma-m0=3-at-1": ("1",
-     '{"schema": "gandyhyland-trace", "version": 1, "witness": {"probes": {"apply": '
-     '[[[1, 0, 0, 0], 0], [[0, 0, 0, 0], 0], [[1, 1, 0, 0], 0], [[1, 2, 0, 0], 0], '
-     '[[1, 1, 1, 0], 0], [[1, 2, 1, 0], 0]], "modulus": [], "theta": []}, "depth": 0, '
-     '"result": 0, "trajectory": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]]}}\n'),
-}
-
-
-@pytest.mark.parametrize("seq, text", V1_TRACES.values(), ids=V1_TRACES)
-def test_version_1_traces_still_replay_and_catch_a_raised_answer(tmp_path, seq, text):
-    path = tmp_path / "v1.trace"
-    path.write_text(text)
-    assert main(["replay", "--seq", seq, "--trace", str(path)]) == 0
-    rows = json.loads(text)["witness"]["probes"]["apply"]
-    for index in range(len(rows)):
-        payload = json.loads(text)
-        payload["witness"]["probes"]["apply"][index][1] += 1
-        path.write_text(json.dumps(payload))
-        assert main(["replay", "--seq", seq, "--trace", str(path)]) == 1, index
 
 
 def test_replay_rejects_a_tampered_trace_file(tmp_path):
@@ -539,6 +557,8 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
         lambda payload: payload["witness"].update(probes=[]),
         lambda payload: payload["witness"]["probes"].update(apply=[[0]]),
         lambda payload: payload.update(version=3),
+        lambda payload: payload.update(version=1),
+        lambda payload: payload.pop("run"),
     ],
     ids=[
         "no-witness",
@@ -547,6 +567,8 @@ def test_replay_missing_file_is_an_io_error(tmp_path, capsys):
         "probes-list",
         "one-element-row",
         "version-3",
+        "version-1",
+        "no-run",
     ],
 )
 def test_replay_of_a_malformed_trace_is_an_io_error(tmp_path, capsys, edit):
@@ -556,7 +578,7 @@ def test_replay_of_a_malformed_trace_is_an_io_error(tmp_path, capsys, edit):
     edit(payload)
     path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["replay", "--seq", "0,2", "--trace", str(path)]) == 1
+    assert main(["replay", "--trace", str(path)]) == 1
     captured = capsys.readouterr()
     assert "error[IoError]" in captured.out
     assert "Traceback" not in captured.err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import count, product
 
 import pytest
@@ -73,7 +74,6 @@ from oracles import (
     brute_dialogue_answer,
     brute_gamma,
     brute_ghs_witness,
-    brute_longest_prefix_answer,
 )
 
 S57 = FinSeq((5, 7))
@@ -253,6 +253,7 @@ def test_trace_structure():
         assert hv == h_eval(y, s, n, fresh)
         assert gv == g_eval(y, s, n, fresh)
     assert [t[0] for t in w.trajectory] == list(range(len(w.trajectory)))
+    assert (w.seq, w.window, w.nmax) == (s, fresh.window, fresh.nmax)
 
 
 def test_trace_refuses_an_apply_that_answers_equal_reads_differently():
@@ -268,29 +269,25 @@ def test_trace_replays_cleanly():
         y = functional_fixture(name)
         for s in (EMPTY, FinSeq((1,))):
             w = herbrand_trace(y, s, make_session())
-            assert replay_check(w, s, make_session()), (name, s.items)
+            assert replay_check(w), (name, s.items)
 
 
 def _with_mutated_answer(w: HerbrandWitness, index: int) -> HerbrandWitness:
     entries = list(w.probes["apply"])
     prefix, answer = entries[index]
     entries[index] = (prefix, answer + 1)
-    probes = dict(w.probes)
-    probes["apply"] = entries
-    return HerbrandWitness(
-        probes=probes, depth=w.depth, result=w.result, trajectory=list(w.trajectory)
-    )
+    return replace(w, probes={"apply": entries})
 
 
 def test_replay_rejects_every_single_answer_mutation():
     y = functional_fixture("sum01")
     for s in (EMPTY, FinSeq((0, 2))):
         w = herbrand_trace(y, s, make_session())
-        assert replay_check(w, s, make_session())
+        assert replay_check(w)
         for i in range(len(w.probes["apply"])):
             bad = _with_mutated_answer(w, i)
             try:
-                assert not replay_check(bad, s, make_session()), (s.items, i)
+                assert not replay_check(bad), (s.items, i)
             except (OutOfTableQuery, FuelExhausted):
                 pass
 
@@ -298,22 +295,17 @@ def test_replay_rejects_every_single_answer_mutation():
 def test_replay_ignores_unreachable_extra_rows():
     y = functional_fixture("nest")
     w = herbrand_trace(y, EMPTY, make_session())
-    probes = dict(w.probes)
-    probes["apply"] = list(probes["apply"]) + [(tuple((i, 9) for i in range(10)), 42)]
-    padded = HerbrandWitness(
-        probes=probes, depth=w.depth, result=w.result, trajectory=list(w.trajectory)
-    )
-    assert replay_check(padded, EMPTY, make_session())
+    spare = (tuple((i, 9) for i in range(10)), 42)
+    assert replay_check(replace(w, probes={"apply": w.probes["apply"] + [spare]}))
 
 
 def test_witness_survives_json(tmp_path):
     y = functional_fixture("sum01")
     w = herbrand_trace(y, FinSeq((1,)), make_session())
     path = str(tmp_path / "trace.json")
-    write_trace(w, path, {"seq": [1], "window": 4, "nmax": 64})
-    back, _ = read_trace(path)
-    assert back == w
-    assert replay_check(back, FinSeq((1,)), make_session())
+    write_trace(w, path)
+    assert read_trace(path) == w
+    assert replay_check(read_trace(path))
 
 
 def _ask_stub(dialogues, values: list[int], tail: int):
@@ -332,43 +324,22 @@ def _ask_stub(dialogues, values: list[int], tail: int):
     return answer, reads
 
 
-def _stub_answer_and_reads(entries, values: list[int], tail: int):
-    """_ask_stub on dense prefixes, each read as the dialogue enumerate(prefix)."""
-    dialogues = [(tuple(enumerate(prefix)), answer) for prefix, answer in entries]
-    return _ask_stub(dialogues, values, tail)
-
-
-_PREFIXES = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple)
-
-
-@given(
-    entries=st.lists(st.tuples(_PREFIXES, st.integers(min_value=0, max_value=9)), max_size=8),
-    start=st.lists(st.integers(min_value=0, max_value=2), max_size=6),
-    tail=st.integers(min_value=0, max_value=2),
-)
-def test_stub_answers_by_longest_prefix_and_reads_only_what_decides(entries, start, tail):
-    values = start + [tail] * 4
-    answer, reads = _stub_answer_and_reads(entries, start, tail)
-    assert answer == brute_longest_prefix_answer(entries, values)
-    assert reads == {
-        i
-        for i in range(len(values))
-        if any(len(p) > i and list(p[:i]) == values[:i] for p, _ in entries)
-    }
-
-
 def test_stub_edge_cases():
-    # The empty prefix answers every point without a read.
-    assert _stub_answer_and_reads([((), 7)], [], 0) == (7, set())
-    # It stays the fallback once a longer row stops matching.
-    assert _stub_answer_and_reads([((), 7), ((1, 2), 3)], [1, 0], 0) == (7, {0, 1})
-    assert _stub_answer_and_reads([((), 7), ((1, 2), 3)], [1, 2], 0) == (3, {0, 1})
-    # Of two equal prefixes the later row wins.
-    assert _stub_answer_and_reads([((0, 1), 4), ((0, 1), 5)], [0, 1], 0) == (5, {0, 1})
-    assert _stub_answer_and_reads([((), 4), ((), 5)], [], 0) == (5, set())
-    # No matching prefix is an out-of-table query.
-    assert _stub_answer_and_reads([((1,), 3)], [0], 0) == (None, {0})
-    assert _stub_answer_and_reads([], [], 0) == (None, set())
+    # The empty dialogue answers every point without a read.
+    assert _ask_stub([((), 7)], [], 0) == (7, set())
+    # A row whose dialogue ends where another's continues answers at its
+    # own end and reads nothing further.
+    nested = [(((0, 1),), 7), (((0, 1), (1, 2)), 3)]
+    assert _ask_stub(nested, [1, 2], 0) == (7, {0})
+    assert _ask_stub([((), 7), (((1, 2),), 3)], [0, 2], 0) == (7, set())
+    # Of two equal dialogues the later row wins.
+    assert _ask_stub([(((0, 0), (1, 1)), 4), (((0, 0), (1, 1)), 5)], [0, 1], 0) == (5, {0, 1})
+    assert _ask_stub([((), 4), ((), 5)], [], 0) == (5, set())
+    # A point that leaves the tree before an answer is an out-of-table
+    # query, also where a row stops short of the answer.
+    assert _ask_stub([(((0, 1),), 3)], [0], 0) == (None, {0})
+    assert _ask_stub([(((0, 1), (1, 2)), 3)], [1, 0], 0) == (None, {0, 1})
+    assert _ask_stub([], [], 0) == (None, set())
     # A row asking another position where an earlier row read is ignored,
     # at the root and further down.
     assert _ask_stub([(((0, 1),), 4), (((1, 1),), 5)], [1, 1], 0) == (4, {0})
@@ -524,10 +495,10 @@ def test_trace_then_replay_certifies(tmp_path_factory, tree, start):
     w = herbrand_trace(y, start, make_session())
     assert w.result == gamma_eval(y, start, make_session())
     path = str(tmp_path_factory.getbasetemp() / "trace-then-replay.json")
-    write_trace(w, path, {"seq": list(start), "window": 4, "nmax": 64})
-    back, _ = read_trace(path)
+    write_trace(w, path)
+    back = read_trace(path)
     assert back == w
-    assert replay_check(back, start, make_session())
+    assert replay_check(back)
 
 
 def _reach(tree) -> int:
