@@ -18,6 +18,7 @@ index plus one, the reachable probe depth on that point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import ArityError, ParseError
 from ..functionals import Functional
@@ -224,51 +225,65 @@ def render(node: FunctionalSpecAst) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_ast(node: FunctionalSpecAst, point: Point) -> int:
-    """Value of the expression against a point."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Probe):
-        return point.value_at(eval_ast(node.arg, point))
-    if isinstance(node, Add):
-        return eval_ast(node.left, point) + eval_ast(node.right, point)
-    if isinstance(node, Mul):
-        return eval_ast(node.left, point) * eval_ast(node.right, point)
-    if isinstance(node, Ifz):
-        branch = node.if_zero if eval_ast(node.cond, point) == 0 else node.if_nonzero
-        return eval_ast(branch, point)
-    if isinstance(node, Least):
-        for j in range(node.bound):
-            view = Point(
-                lambda i, _j=j: point.value_at(i + _j), lambda _j=j: f"{point.name}>>{_j}"
-            )
-            if eval_ast(node.body, view) == 0:
-                return j
-        return node.bound
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def functional_from_ast(node: FunctionalSpecAst) -> Functional:
-    """Wrap an expression as a Functional with a read-tracking modulus.
+    """Compile an expression into a Functional with a read-tracking modulus.
 
-    The modulus evaluates the expression against a wrapper that records
-    the deepest index read and returns one past it; shifted views inside
-    least() forward reads to the wrapper, so recorded positions are
-    absolute.
+    The tree is compiled once into nested closures. A sum or product
+    evaluates its left operand first, ifz evaluates only the branch it
+    picks, and least() evaluates its body against shifted views of the
+    argument, so reads happen in the order the expression spells them.
+    The modulus applies the compiled expression to a wrapper that records
+    the deepest index read and returns one past it; the shifted views
+    forward reads to the wrapper, so recorded positions are absolute.
     """
 
-    def apply(point: Point) -> int:
-        return eval_ast(node, point)
+    def compile_node(node: FunctionalSpecAst) -> Callable[[Point], int]:
+        if isinstance(node, Lit):
+            value = node.value
+            return lambda point: value
+        if isinstance(node, Probe):
+            if isinstance(node.arg, Lit):
+                index = node.arg.value
+                return lambda point: point.value_at(index)
+            arg = compile_node(node.arg)
+            return lambda point: point.value_at(arg(point))
+        if isinstance(node, Add):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda point: left(point) + right(point)
+        if isinstance(node, Mul):
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda point: left(point) * right(point)
+        if isinstance(node, Ifz):
+            cond = compile_node(node.cond)
+            if_zero, if_nonzero = compile_node(node.if_zero), compile_node(node.if_nonzero)
+            return lambda point: if_zero(point) if cond(point) == 0 else if_nonzero(point)
+        if isinstance(node, Least):
+            bound, body = node.bound, compile_node(node.body)
+
+            def least(point: Point) -> int:
+                for j in range(bound):
+                    view = Point(
+                        lambda i, _j=j: point.value_at(i + _j), lambda _j=j: f"{point.name}>>{_j}"
+                    )
+                    if body(view) == 0:
+                        return j
+                return bound
+
+            return least
+        raise TypeError(f"not an expression node: {node!r}")
+
+    apply = compile_node(node)
 
     def modulus(point: Point) -> int:
-        deepest = {"i": -1}
+        deepest = -1
 
         def gen(i: int) -> int:
-            if i > deepest["i"]:
-                deepest["i"] = i
+            nonlocal deepest
+            if i > deepest:
+                deepest = i
             return point.value_at(i)
 
-        eval_ast(node, Point(gen, lambda: f"tracked {point.name}"))
-        return deepest["i"] + 1
+        apply(Point(gen, lambda: f"tracked {point.name}"))
+        return deepest + 1
 
     return Functional(apply=apply, modulus=modulus, name=render(node))

@@ -143,32 +143,11 @@ def _depth_eval(
     every sequence sharing them hits one memo entry.
     """
     session.claim(y)
-    key = (kind, s.items[:m], m)
-    cached = session.memo_get(key)
+    items = s.items[:m]
+    cached = session.memo_get((kind, items, m))
     if cached is not None:
         return cached
-    session.fuel.spend(session._contexts[kind])
-    if len(s) >= m:
-        value = y.apply(pad(take(s, m), pad_value))
-    else:
-        items = s.items
-        k = len(items)
-
-        def gen(i: int) -> int:
-            if i < k:
-                return items[i]
-            if i == k:
-                return 0
-            j = i - k
-            if j <= m:
-                return _depth_eval(
-                    y, _from_trusted_tuple(items + (j,)), m, session, kind, pad_value
-                )
-            return pad_value
-
-        value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{m}"))
-    session.memo_put(key, value)
-    return value
+    return _force(y, items, m, session, kind, pad_value)
 
 
 def h_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
@@ -193,34 +172,76 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     only after its own reads passed, so a hit needs no second check.
     """
     session.claim(y)
-    n = max(n, len(s))
-    key = ("g", s.items, n)
-    cached = session.memo_get(key)
+    items = s.items
+    n = max(n, len(items))
+    cached = session.memo_get(("g", items, n))
     if cached is not None:
         return cached
-    session.fuel.spend(session._contexts["g"])
-    if len(s) >= n:
-        value = y.apply(pad(s, 0))
+    return _force(y, items, n, session, "g", 0)
+
+
+def _force(
+    y: Functional,
+    items: tuple[int, ...],
+    depth: int,
+    session: EvalSession,
+    kind: str,
+    pad_value: int,
+    at: int | None = None,
+) -> int:
+    """Value of the kind node at items and depth, which is not in the memo;
+    items is at most depth long, and at is the position its parent block
+    reads it at, None for the node asked for.
+
+    At length depth the node is a leaf, Y at items padded with pad_value.
+    Shorter items get a block: items, a zero, then the child at items+(j,)
+    at position len(items)+j for j = 1 .. depth (for every j in g, which
+    does not truncate), then pad_value. A child is read from the memo and
+    forced only on a miss. Each forced node spends one fuel step under the
+    kind's context, and its value must be a natural before its memo entry
+    is written; a child's ValueError is the one its parent block's point
+    would raise. The session's bound, if any, checks every child of a g
+    node.
+    """
+    session.fuel.spend(session._contexts[kind])
+    k = len(items)
+    if k >= depth:
+        value = y.apply(pad(_from_trusted_tuple(items), pad_value))
     else:
-        items = s.items
-        k = len(items)
-        bound = session.bound
+        memo = session._values
+        truncating = kind != "g"
+        bound = None if truncating else session.bound
 
         def gen(i: int) -> int:
             if i < k:
                 return items[i]
             if i == k:
                 return 0
-            child = g_eval(y, _from_trusted_tuple(items + (i - k,)), n, session)
-            if bound is not None and child > bound.value_at(i):
+            j = i - k
+            if truncating and j > depth:
+                return pad_value
+            child = items + (j,)
+            v = memo.get((kind, child, depth))
+            if v is None:
+                v = _force(y, child, depth, session, kind, pad_value, i)
+            if bound is not None and v > bound.value_at(i):
                 raise BoundExceeded(
-                    f"child value {child} at position {i} exceeds bound "
-                    f"{bound.value_at(i)} (sequence {list(items)}, depth {n})"
+                    f"child value {v} at position {i} exceeds bound "
+                    f"{bound.value_at(i)} (sequence {list(items)}, depth {depth})"
                 )
-            return child
+            return v
 
-        value = y.apply(Point(gen, lambda: f"g-block {list(items)}@{n}"))
-    session.memo_put(key, value)
+        value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
+    if not isinstance(value, int) or value < 0:
+        if at is None:
+            raise ValueError(
+                f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}"
+            )
+        raise ValueError(
+            f"point {kind}-block {list(items[:-1])}@{depth} "
+            f"produced non-natural {value!r} at {at}"
+        )
+    session.memo_put((kind, items, depth), value)
     return value
 
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from itertools import product
 
+from typing import Callable
+
 from gandyhyland import FinSeq, Functional, Point, extend, pad
+from gandyhyland.cli.dsl import Add, Ifz, Least, Lit, Mul, Probe
 
 # Sequence coding anchors: empty first, then by pairing. Strictly monotone
 # under extension, so a proper extension always has the larger code.
@@ -219,3 +222,30 @@ def brute_dialogue_answer(
         if all(values[position] == value for position, value in dialogue):
             answer = row_answer
     return answer
+
+
+def brute_eval_ast(node, read: Callable[[int], int]) -> int:
+    """Value of an expression tree, by plain recursion over its nodes,
+    with read(i) giving the argument's value at i. Operands are evaluated
+    left to right, ifz evaluates only the branch it picks, and least(k, e)
+    evaluates e with reads shifted by j for j = 0 .. k-1."""
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Probe):
+        return read(brute_eval_ast(node.arg, read))
+    if isinstance(node, Add):
+        left = brute_eval_ast(node.left, read)
+        return left + brute_eval_ast(node.right, read)
+    if isinstance(node, Mul):
+        left = brute_eval_ast(node.left, read)
+        return left * brute_eval_ast(node.right, read)
+    if isinstance(node, Ifz):
+        if brute_eval_ast(node.cond, read) == 0:
+            return brute_eval_ast(node.if_zero, read)
+        return brute_eval_ast(node.if_nonzero, read)
+    if isinstance(node, Least):
+        for j in range(node.bound):
+            if brute_eval_ast(node.body, lambda i, j=j: read(i + j)) == 0:
+                return j
+        return node.bound
+    raise TypeError(f"not an expression node: {node!r}")

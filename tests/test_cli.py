@@ -35,7 +35,6 @@ from gandyhyland.cli.dsl import (
     Lit,
     Mul,
     Probe,
-    eval_ast,
     functional_from_ast,
     parse_spec,
     render,
@@ -54,7 +53,7 @@ from gandyhyland.cli.main import (
     read_trace,
     run_command,
 )
-from oracles import FAN_MODULI
+from oracles import FAN_MODULI, brute_eval_ast
 
 
 def test_parse_builds_the_expected_trees():
@@ -104,8 +103,10 @@ def test_parse_rejects_unknown_names_and_characters():
 
 
 def _ast():
+    # Probes of a literal are leaves too, so that most trees read the point.
+    lit = st.builds(Lit, st.integers(min_value=0, max_value=9))
     return st.recursive(
-        st.builds(Lit, st.integers(min_value=0, max_value=9)),
+        lit | st.builds(Probe, lit),
         lambda node: st.one_of(
             st.builds(Probe, node),
             st.builds(Add, node, node),
@@ -125,14 +126,35 @@ def test_render_parse_round_trip(tree):
 def test_eval_semantics():
     zeros = Point(lambda n: 0, name="zeros")
     ones = Point(lambda n: 1, name="ones")
-    assert eval_ast(parse_spec("2*3+1"), zeros) == 7
-    assert eval_ast(parse_spec("ifz(f(0),5,7)"), zeros) == 5
-    assert eval_ast(parse_spec("ifz(f(0),5,7)"), ones) == 7
+    assert functional_from_ast(parse_spec("2*3+1")).apply(zeros) == 7
+    assert functional_from_ast(parse_spec("ifz(f(0),5,7)")).apply(zeros) == 5
+    assert functional_from_ast(parse_spec("ifz(f(0),5,7)")).apply(ones) == 7
     # least scans shifted views and returns the first shift landing on zero
     tail_zero = Point(lambda n: 1 if n == 0 else 0, name="1,0,0,..")
-    assert eval_ast(parse_spec("least(4,f(0))"), tail_zero) == 1
-    assert eval_ast(parse_spec("least(4,f(0))"), ones) == 4
-    assert eval_ast(parse_spec("least(0,f(0))"), zeros) == 0
+    assert functional_from_ast(parse_spec("least(4,f(0))")).apply(tail_zero) == 1
+    assert functional_from_ast(parse_spec("least(4,f(0))")).apply(ones) == 4
+    assert functional_from_ast(parse_spec("least(0,f(0))")).apply(zeros) == 0
+
+
+@given(_ast(), st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))
+def test_compiled_expressions_agree_with_the_oracle(tree, entries):
+    """Value, forced positions in order, and modulus, against plain
+    recursion over the tree on a cyclic point with entries at most 3."""
+    reads: list[int] = []
+    forced: list[int] = []
+
+    def logged(log: list[int]):
+        def read(i: int) -> int:
+            log.append(i)
+            return entries[i % len(entries)]
+
+        return read
+
+    want = brute_eval_ast(tree, logged(reads))
+    y = functional_from_ast(tree)
+    assert y.apply(Point(logged(forced))) == want
+    assert forced == list(dict.fromkeys(reads))
+    assert y.modulus(Point(logged([]))) == max(reads, default=-1) + 1
 
 
 def test_expression_modulus_is_one_past_the_deepest_read():
@@ -335,6 +357,18 @@ def test_a_deep_nmax_run_gets_the_stack_it_needs(capsys):
         assert main(["eval-gh", "--expr", "f(150)", "--nmax", nmax]) == 0, nmax
         assert capsys.readouterr().out == 'eval-gh: {"value": 0, "depth": 0}\n'
     assert (sys.getrecursionlimit(), threading.active_count()) == (limit, threads)
+
+
+def test_the_deepest_benchmark_probe_fits_the_default_frame_limit():
+    # The benchmark calls run_command under the interpreter's default limit,
+    # where a RecursionError is a failed operation.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        record = run_command("eval-gh", RunConfig(expr="f(17)+1", seq="1,0", window=19))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert record.output == {"value": 16, "depth": 17}
 
 
 def test_recursion_past_the_frame_limit_exits_with_depth_exceeded(monkeypatch, capsys):

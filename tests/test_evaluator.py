@@ -658,6 +658,19 @@ def test_a_block_meeting_a_non_natural_child_names_the_block(approx, kind):
 
 
 @pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (h_hat_eval, "hhat"), (g_eval, "g")])
+def test_a_non_natural_node_value_is_refused_and_not_kept(approx, kind):
+    # The node asked for is a leaf here, read by no block point; its value
+    # is checked before the memo takes it, so asking again raises again.
+    y = Functional(apply=lambda p: p.value_at(0) - 3, name="dips")
+    session = make_session()
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            approx(y, FinSeq((2, 1)), 2, session)
+        assert str(exc.value) == f"{kind}-node [2, 1]@2 produced non-natural -1"
+    assert session._values == {}
+
+
+@pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (h_hat_eval, "hhat"), (g_eval, "g")])
 def test_a_node_that_runs_dry_names_its_kind_and_functional(approx, kind):
     # The first node spends the only step, and its first child runs dry.
     with pytest.raises(FuelExhausted) as exc:
