@@ -23,11 +23,11 @@ from ..evaluator import (
     g_eval,
     gamma_eval,
     gh_check,
+    ghs_witness,
     h_eval,
     h_hat_eval,
     herbrand_trace,
     make_session,
-    modulus_from_ghs,
     modulus_from_mu,
     mu_from_gh_ext,
     mu_from_modulus,
@@ -278,7 +278,7 @@ def check_cross_coherence() -> Iterator[str]:
         # limit leaves behind. The window must outlast that false run.
         session = make_session(fuel_steps=2_000_000, window=6)
         for f in points:
-            via_ghs = modulus_from_ghs(y, f, session)
+            via_ghs = ghs_witness(y, f, session)
             via_assoc = modulus_from_associate(assoc, f, Fuel(200_000))
             try:
                 via_mu = modulus_from_mu(mu, assoc, f, Fuel(200_000))

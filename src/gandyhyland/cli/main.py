@@ -29,10 +29,10 @@ from ..evaluator import (
     HerbrandWitness,
     g_eval,
     gamma_eval,
+    ghs_witness,
     h_eval,
     herbrand_trace,
     make_session,
-    modulus_from_ghs,
     replay_check,
     stabilize,
 )
@@ -342,7 +342,7 @@ def _scf_check(cfg: RunConfig):
 
 def _ghs(cfg: RunConfig):
     y, alpha, session = _functional(cfg), _point(cfg), _session(cfg)
-    return modulus_from_ghs(y, alpha, session, value_cap=cfg.value_cap, tail_cap=cfg.tail_cap), {}
+    return ghs_witness(y, alpha, session, value_cap=cfg.value_cap, tail_cap=cfg.tail_cap), {}
 
 
 def _probe_counts(witness: HerbrandWitness) -> dict:

@@ -44,7 +44,6 @@ from .functionals import (
     Functional,
     epsilon_flag,
     gamma_flag,
-    indexed_value,
 )
 from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decode, pad, take
 
@@ -66,7 +65,8 @@ class EvalSession:
     stabilized, and only while certified or being certified. A session
     serves exactly one functional: mixing two would silently
     cross-contaminate the memo, so the first functional seen claims the
-    session.
+    session. memo_put is the only writer, so with memo_enabled off the memo
+    stays empty and every read misses.
 
     bound, when set, caps every child value g_eval reads in this session
     at the position carrying it (BoundExceeded otherwise). Set it before
@@ -103,8 +103,6 @@ class EvalSession:
             self._contexts = {kind: f"{kind}_eval({y.name})" for kind in ("h", "hhat", "g")}
 
     def memo_get(self, key: MemoKey) -> int | None:
-        if not self.memo_enabled:
-            return None
         return self._values.get(key)
 
     def memo_put(self, key: MemoKey, value: int) -> None:
@@ -125,59 +123,52 @@ def make_session(fuel_steps: int = DEFAULT_SESSION_FUEL, **knobs) -> EvalSession
     return EvalSession(fuel=Fuel(fuel_steps), **knobs)
 
 
-def _depth_eval(
-    y: Functional,
-    s: FinSeq,
-    m: int,
-    session: EvalSession,
-    kind: str,
-    pad_value: int,
+def _level(
+    y: Functional, items: tuple[int, ...], n: int, session: EvalSession, kind: str
 ) -> int:
-    """Shared body of the truncating approximations.
+    """Value of the kind approximation at items and depth n, read from the
+    memo under the key its node is written at and forced only on a miss.
+    The caller has claimed the session for y.
 
-    Below the cutoff the argument point starts with s, then a zero, then
-    positions s+1 .. s+m carry the values at the one-step extensions of s,
-    computed on demand; beyond that the point is constantly pad_value. At
-    or past the cutoff the sequence is truncated to its first m values and
-    padded with pad_value; that leaf is keyed by those first m values, so
-    every sequence sharing them hits one memo entry.
+    The truncating kinds (h pads zeros, hhat ones) keep the first n values:
+    past the cutoff the leaf is Y at those values padded, so every sequence
+    sharing them hits one entry. g never truncates: a sequence at least n
+    long is evaluated at its own zero-padding whatever n is, so its depth
+    rises to len(items).
     """
-    session.claim(y)
-    items = s.items[:m]
-    cached = session.memo_get((kind, items, m))
-    if cached is not None:
-        return cached
-    return _force(y, items, m, session, kind, pad_value)
+    if kind == "g":
+        n = max(n, len(items))
+    else:
+        items = items[:n]
+    value = session.memo_get((kind, items, n))
+    if value is None:
+        value = _force(y, items, n, session, kind, 1 if kind == "hhat" else 0)
+    return value
 
 
 def h_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """Zero-padded depth-M approximation."""
-    return _depth_eval(y, s, m, session, "h", 0)
+    session.claim(y)
+    return _level(y, s.items, m, session, "h")
 
 
 def h_hat_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """One-padded depth-M approximation; pads ones in both cases."""
-    return _depth_eval(y, s, m, session, "hhat", 1)
+    session.claim(y)
+    return _level(y, s.items, m, session, "hhat")
 
 
 def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     """Non-truncating depth-N approximation.
 
-    Sequences of length at least N are evaluated at their zero-padding
-    unchanged, whatever N is, so that leaf is keyed at depth len(s);
-    shorter ones get the lazily-extended block with unbounded child
-    indices. When the session has a bound, every child value is checked
-    against the bound at the position carrying it, on every read path,
-    and BoundExceeded is raised on a violation; a memo entry is written
-    only after its own reads passed, so a hit needs no second check.
+    Sequences shorter than N get the lazily-extended block with unbounded
+    child indices. When the session has a bound, every child value is
+    checked against the bound at the position carrying it, on every read
+    path, and BoundExceeded is raised on a violation; a memo entry is
+    written only after its own reads passed, so a hit needs no second check.
     """
     session.claim(y)
-    items = s.items
-    n = max(n, len(items))
-    cached = session.memo_get(("g", items, n))
-    if cached is not None:
-        return cached
-    return _force(y, items, n, session, "g", 0)
+    return _level(y, s.items, n, session, "g")
 
 
 def _force(
@@ -255,22 +246,15 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     extra levels to stop cutting into s.
 
     At every N <= len(s), g_eval is the one leaf at s, applied once before
-    the search (which also claims the session). A level whose value is in
-    the memo is read there, under the key its approximation writes; only a
-    miss enters the approximation, so the evaluated nodes are the same.
+    the search (which also claims the session).
     """
     leaf = g_eval(y, s, 0, session)
     items = s.items
-    memo = session._values
     run_start = 0
     last: int | None = None
     for n in range(session.nmax + session.window + 1):
-        gv = leaf if n <= len(items) else memo.get(("g", items, n))
-        if gv is None:
-            gv = g_eval(y, s, n, session)
-        hv = memo.get(("h", items[:n], n))
-        if hv is None:
-            hv = h_eval(y, s, n, session)
+        gv = leaf if n <= len(items) else _level(y, items, n, session, "g")
+        hv = _level(y, items, n, session, "h")
         if hv != gv:
             run_start = n + 1
             last = None
@@ -382,8 +366,7 @@ def ghs_witness(
     shared by every m that lists it: all depths from K up to the next one
     were compared, and agree except the disagreeing one if that is at or
     above K. So each gamma_eval and each h_eval comparison is made once,
-    and a K whose window holds a known disagreement fails at once. A
-    comparison reads h from the memo first, as stabilize does.
+    and a K whose window holds a known disagreement fails at once.
 
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
@@ -399,8 +382,8 @@ def ghs_witness(
                 f"ghs_witness({y.name}): candidate tails up to length {tlen} hold "
                 f"{count} entries, more than the {left} fuel steps left"
             )
+    session.claim(y)
     window = session.window
-    memo = session._values
     known: dict[tuple[int, ...], list] = {}
     candidates: dict[int, list[list]] = {}
     for k0 in range(session.nmax + 1):
@@ -419,12 +402,7 @@ def ghs_witness(
                 if value is None:
                     value = state[1] = gamma_eval(y, s, session)
                 n = max(n, k0)
-                while n <= top:
-                    hv = memo.get(("h", s.items[:n], n))
-                    if hv is None:
-                        hv = h_eval(y, s, n, session)
-                    if hv != value:
-                        break
+                while n <= top and _level(y, s.items, n, session, "h") == value:
                     n += 1
                 if n <= top:
                     state[2:] = n + 1, n
@@ -440,15 +418,8 @@ def ghs_witness(
     )
 
 
-def modulus_from_ghs(
-    y: Functional,
-    f: Point,
-    session: EvalSession,
-    value_cap: int = 3,
-    tail_cap: int = 2,
-) -> int:
-    """The uniform depth witness doubles as a modulus of continuity at f."""
-    return ghs_witness(y, f, session, value_cap=value_cap, tail_cap=tail_cap)
+# The uniform depth witness doubles as a modulus of continuity at alpha.
+modulus_from_ghs = ghs_witness
 
 
 # Herbrand-style tracing: record what every oracle call of a run read and
@@ -544,8 +515,13 @@ def _trajectory(
     y: Functional, s: FinSeq, session: EvalSession, length: int
 ) -> list[tuple[int, int, int]]:
     """(depth, truncating value, non-truncating value) at s for the depths
-    below length: what a trace records and what its replay must match."""
-    return [(n, h_eval(y, s, n, session), g_eval(y, s, n, session)) for n in range(length)]
+    below length: what a trace records and what its replay must match. The
+    caller has claimed the session for y."""
+    items = s.items
+    return [
+        (n, _level(y, items, n, session, "h"), _level(y, items, n, session, "g"))
+        for n in range(length)
+    ]
 
 
 def _stub_operation(entries: list[tuple[Dialogue, int]]) -> Callable[[Point], int]:
@@ -621,14 +597,15 @@ def mu_from_modulus(
     The flag associate of f's zero indicator first decides at prefix
     length (least zero)+1, so the modulus at the all-zero point brackets
     the answer. Zero-free f leaves the flag undecided everywhere and the
-    modulus search runs out of fuel.
+    modulus search runs out of fuel. A modulus that brackets no zero of f
+    is wrong, which is an invariant violation.
     """
     gamma = gamma_flag(_zero_indicator(f))
     k = psi(gamma, constant_point(0), fuel)
     for n in range(k):
         if f.value_at(n) == 0:
             return n
-    return 0
+    raise InvariantViolation(f"modulus bracket [0, {k}) holds no zero of {f.name}")
 
 
 def modulus_from_mu(
@@ -643,18 +620,17 @@ def modulus_from_mu(
     return mu_op(indicator, fuel)
 
 
-def ext_witness(
-    a: Point | Associate, b: Point | Associate, fuel: Fuel
-) -> int:
-    """One past the first index where a and b differ, 0 if none found.
+def ext_witness(a: Associate, b: Associate, fuel: Fuel) -> int:
+    """One past the first sequence code where a and b answer differently, 0
+    if none found.
 
-    Points are compared position by position, associates query by query in
-    code order. The scan is fuel-bounded and running dry counts as "no
-    difference found", so this never raises.
+    The associates are compared query by query in code order. The scan is
+    fuel-bounded and running dry counts as "no difference found", so this
+    never raises.
     """
     i = 0
     while fuel.try_spend():
-        if indexed_value(a, i) != indexed_value(b, i):
+        if a.query(decode(i)) != b.query(decode(i)):
             return i + 1
         i += 1
     return 0

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Callable
 
 from .errors import FuelExhausted, InvariantViolation
-from .sequences import EMPTY, FinSeq, Point, _from_trusted_tuple, decode, extend, pad, take
+from .sequences import EMPTY, FinSeq, Point, _from_trusted_tuple, extend, pad, take
 
 DEFAULT_FUEL = 100_000
 
@@ -240,14 +240,3 @@ def enumerate_sequences(depth: int, width: int) -> list[FinSeq]:
     for k in range(1, depth + 1):
         out.extend(FinSeq(p) for p in product(range(width), repeat=k))
     return out
-
-
-def indexed_value(obj: Point | Associate, i: int) -> int:
-    """Uniform enumeration of a point or an associate by natural index.
-
-    Points are read at positions; associates are read at decoded sequence
-    codes. ext_witness scans both kinds through this single lens.
-    """
-    if isinstance(obj, Point):
-        return obj.value_at(i)
-    return obj.query(decode(i))

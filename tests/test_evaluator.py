@@ -39,7 +39,6 @@ from gandyhyland import (
     herbrand_trace,
     make_session,
     modulus_from_associate,
-    modulus_from_ghs,
     modulus_from_mu,
     mu,
     mu_from_gh_ext,
@@ -194,7 +193,7 @@ def test_uniform_depth_is_a_sampling_modulus():
         y = functional_fixture(name)
         for f in points:
             session = make_session(fuel_steps=2_000_000, window=6)
-            k = modulus_from_ghs(y, f, session)
+            k = ghs_witness(y, f, session)
             base = y.apply(f)
             for pos in range(k, k + 3):
                 for val in range(3):
@@ -233,7 +232,7 @@ def test_modulus_routes_agree():
     ones = constant_point(1, name="ones")
     via_assoc = modulus_from_associate(assoc, ones, Fuel(200_000))
     via_mu = modulus_from_mu(mu, assoc, ones, Fuel(200_000))
-    via_ghs = modulus_from_ghs(y, ones, make_session(fuel_steps=2_000_000, window=6))
+    via_ghs = ghs_witness(y, ones, make_session(fuel_steps=2_000_000, window=6))
     assert via_assoc == via_mu == via_ghs
 
 
@@ -271,6 +270,31 @@ def test_trace_replays_cleanly():
             w = herbrand_trace(y, s, make_session())
             assert replay_check(w), (name, s.items)
 
+
+
+@pytest.mark.parametrize(
+    "expr, start, window, work",
+    [
+        ("f(12)+1", (), 14, (559, 13, 27, 12, 13)),
+        ("f(0)+f(1)", (0, 2), 4, (13, 2, 7, 2, 2)),
+    ],
+)
+def test_trace_path_work_counts_are_frozen(expr, start, window, work):
+    # (applies of Y, trace rows, trajectory rows, depth, result): the
+    # trajectory reads back levels the stabilization search already made,
+    # so it must cost no apply of its own.
+    y = expr_functional(expr)
+    applies = 0
+
+    def apply(point: Point) -> int:
+        nonlocal applies
+        applies += 1
+        return y.apply(point)
+
+    counted = Functional(apply=apply, name=y.name)
+    w = herbrand_trace(counted, FinSeq(start), make_session(window=window))
+    assert (applies, len(w.probes["apply"]), len(w.trajectory), w.depth, w.result) == work
+    assert replay_check(w)
 
 def _with_mutated_answer(w: HerbrandWitness, index: int) -> HerbrandWitness:
     entries = list(w.probes["apply"])
@@ -412,6 +436,14 @@ def test_least_zero_far_out():
     assert mu_from_modulus(modulus_from_associate, f, Fuel(200_000)) == 20
 
 
+@pytest.mark.parametrize("bracket", [0, 2])
+def test_a_modulus_bracketing_no_zero_is_refused(bracket):
+    only_zero_at_3 = Point(lambda n: 0 if n == 3 else 1, name="zero at 3")
+    with pytest.raises(InvariantViolation) as exc:
+        mu_from_modulus(lambda gamma, alpha, fuel: bracket, only_zero_at_3, Fuel(100))
+    assert str(exc.value) == f"modulus bracket [0, {bracket}) holds no zero of zero at 3"
+
+
 def test_zero_free_point_starves_one_route_and_zeroes_the_other():
     ones = constant_point(1, name="ones")
     with pytest.raises(FuelExhausted):
@@ -526,8 +558,8 @@ def test_ghs_witness_is_the_least_uniform_depth(tree, period):
     # some K at or below nmax pass: neither side can fail. A narrower
     # window lets stabilization settle on a short false plateau, which the
     # equation check rejects while the oracle still has an answer.
-    # A memo-free session reads nothing back, so it checks the direct memo
-    # reads in stabilize and ghs_witness from outside.
+    # A memo-free session reads nothing back, so it checks the level reads
+    # in stabilize and ghs_witness from outside.
     reach = _reach(tree)
     y = functional_from_ast(tree)
     alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
@@ -568,7 +600,7 @@ def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, mem
 def test_ghs_witness_work_counts_are_frozen():
     y = functional_from_associate(flag_associate("flag-gamma", 5))
     session = make_session(fuel_steps=2_000_000, window=6)
-    assert modulus_from_ghs(y, constant_point(0, name="zeros"), session) == 6
+    assert ghs_witness(y, constant_point(0, name="zeros"), session) == 6
     assert _work(session) == (5930, 5930)
 
 
@@ -613,8 +645,8 @@ def test_session_serves_one_functional():
 
 
 def test_a_warm_memo_is_not_read_for_another_functional():
-    # stabilize and ghs_witness read warm levels from the memo directly;
-    # the session must still refuse a second functional before any read.
+    # stabilize and ghs_witness read warm levels without entering h_eval or
+    # g_eval; the session must still refuse a second functional before any read.
     y, other = functional_fixture("sum01"), functional_fixture("nest")
     session = make_session()
     stabilize(y, EMPTY, session)

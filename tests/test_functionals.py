@@ -22,7 +22,6 @@ from gandyhyland import (
     epsilon_flag,
     functional_from_associate,
     gamma_flag,
-    indexed_value,
     modulus_from_associate,
     mu,
     pad,
@@ -284,13 +283,3 @@ def test_enumerate_sequences_counts():
     assert len(enumerate_sequences(0, 3)) == 1
     assert len(enumerate_sequences(2, 3)) == 1 + 3 + 9
     assert len(enumerate_sequences(3, 2)) == 1 + 2 + 4 + 8
-
-
-def test_indexed_value_reads_points_and_associates():
-    from gandyhyland import code
-
-    p = Point(lambda n: n * 2, name="evens")
-    assert indexed_value(p, 3) == 6
-    gamma = gamma_flag(flag_stream(3))
-    probe = FinSeq((0, 0, 0, 2))
-    assert indexed_value(gamma, code(probe)) == gamma.query(probe)
