@@ -85,9 +85,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("nat", text[i:j], i))
             i = j

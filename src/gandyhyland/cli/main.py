@@ -97,17 +97,6 @@ class ResultRecord:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultRecord":
-        return cls(
-            operation=data["operation"],
-            inputs=data["inputs"],
-            output=data["output"],
-            error=data["error"],
-            probes=data.get("probes", {}),
-            wall_ms=data.get("wall_ms", 0.0),
-        )
-
 
 def emit_json(records: list[ResultRecord], path: str) -> None:
     """Write newline-delimited JSON: a schema header line, then one record per line."""
@@ -118,26 +107,6 @@ def emit_json(records: list[ResultRecord], path: str) -> None:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(str(exc)) from None
-
-
-def read_json(path: str) -> list[ResultRecord]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    if not lines:
-        raise IoError(f"{path}: missing schema header")
-    try:
-        header = json.loads(lines[0])
-        body = [json.loads(line) for line in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{path}: {exc}") from None
-    if not isinstance(header, dict) or header.get("schema") != RESULTS_SCHEMA:
-        raise IoError(f"{path}: not a results file")
-    if header.get("version") != 1:
-        raise IoError(f"{path}: unsupported results version {header.get('version')!r}")
-    return [ResultRecord.from_dict(entry) for entry in body]
 
 
 def write_trace(witness: HerbrandWitness, path: str) -> None:
@@ -418,7 +387,8 @@ def run_command(cmd: str, cfg: RunConfig) -> ResultRecord:
 # (7.5k page faults a round, not 2.7k; p90 latency up by a third).
 
 def _record(cmd: str, command: Command, cfg: RunConfig) -> ResultRecord:
-    """Run one command under a timer; embed its evaluation error, if any."""
+    """Run one command under a timer; embed its evaluation error, if any,
+    and a RecursionError as DepthExceeded naming the frame limit."""
     inputs = _describe_inputs(command, cfg)
     started = time.perf_counter()
     output = None
@@ -430,6 +400,9 @@ def _record(cmd: str, command: Command, cfg: RunConfig) -> ResultRecord:
         raise
     except GandyHylandError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
+    except RecursionError:
+        message = f"recursion passed {sys.getrecursionlimit()} Python frames"
+        error = {"type": DepthExceeded.__name__, "message": message}
     wall_ms = (time.perf_counter() - started) * 1000.0
     return ResultRecord(
         operation=cmd, inputs=inputs, output=output, error=error, probes=probes, wall_ms=wall_ms
@@ -448,8 +421,8 @@ _MAX_FRAMES = 200_000
 
 
 def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
-    """run_command on one thread with a large stack. A RecursionError that
-    still escapes becomes a DepthExceeded record naming the frame limit."""
+    """run_command on one thread with a large stack; whatever it raises is
+    raised again here, once the old limits are back."""
     outcome: list = []
 
     def body() -> None:
@@ -469,10 +442,6 @@ def _run_on_large_stack(cmd: str, cfg: RunConfig) -> ResultRecord:
         threading.stack_size(old_stack)
         sys.setrecursionlimit(old_limit)
     result = outcome.pop()
-    if isinstance(result, RecursionError):
-        message = f"recursion passed {_MAX_FRAMES} Python frames"
-        error = {"type": DepthExceeded.__name__, "message": message}
-        return ResultRecord(cmd, _describe_inputs(COMMANDS[cmd], cfg), None, error)
     if isinstance(result, BaseException):
         raise result
     return result

@@ -68,11 +68,6 @@ class EvalSession:
     session. memo_put is the only writer, so with memo_enabled off the memo
     stays empty and every read misses.
 
-    bound, when set, caps every child value g_eval reads in this session
-    at the position carrying it (BoundExceeded otherwise). Set it before
-    the session's first evaluation and leave it: a memo entry is checked
-    once, when it is written, under the bound in force then.
-
     The claim also fixes the fuel context of each kind of node, the text
     a FuelExhausted raised at that node names, so it is formatted once.
     """
@@ -81,7 +76,6 @@ class EvalSession:
     window: int = 4
     nmax: int = 64
     memo_enabled: bool = True
-    bound: Point | None = None
     _values: dict[MemoKey, int] = field(default_factory=dict, init=False, repr=False)
     _gamma: dict[tuple[int, ...], tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False
@@ -118,7 +112,7 @@ class EvalSession:
 
 def make_session(fuel_steps: int = DEFAULT_SESSION_FUEL, **knobs) -> EvalSession:
     """A session with fuel_steps of fresh fuel. The keyword knobs (window,
-    nmax, memo_enabled, bound) go to EvalSession; any left out keeps the
+    nmax, memo_enabled) go to EvalSession; any left out keeps the
     default its field declares."""
     return EvalSession(fuel=Fuel(fuel_steps), **knobs)
 
@@ -162,10 +156,7 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     """Non-truncating depth-N approximation.
 
     Sequences shorter than N get the lazily-extended block with unbounded
-    child indices. When the session has a bound, every child value is
-    checked against the bound at the position carrying it, on every read
-    path, and BoundExceeded is raised on a violation; a memo entry is
-    written only after its own reads passed, so a hit needs no second check.
+    child indices.
     """
     session.claim(y)
     return _level(y, s.items, n, session, "g")
@@ -178,11 +169,9 @@ def _force(
     session: EvalSession,
     kind: str,
     pad_value: int,
-    at: int | None = None,
 ) -> int:
     """Value of the kind node at items and depth, which is not in the memo;
-    items is at most depth long, and at is the position its parent block
-    reads it at, None for the node asked for.
+    items is at most depth long.
 
     At length depth the node is a leaf, Y at items padded with pad_value.
     Shorter items get a block: items, a zero, then the child at items+(j,)
@@ -190,9 +179,7 @@ def _force(
     does not truncate), then pad_value. A child is read from the memo and
     forced only on a miss. Each forced node spends one fuel step under the
     kind's context, and its value must be a natural before its memo entry
-    is written; a child's ValueError is the one its parent block's point
-    would raise. The session's bound, if any, checks every child of a g
-    node.
+    is written.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
@@ -201,7 +188,6 @@ def _force(
     else:
         memo = session._values
         truncating = kind != "g"
-        bound = None if truncating else session.bound
 
         def gen(i: int) -> int:
             if i < k:
@@ -213,25 +199,11 @@ def _force(
                 return pad_value
             child = items + (j,)
             v = memo.get((kind, child, depth))
-            if v is None:
-                v = _force(y, child, depth, session, kind, pad_value, i)
-            if bound is not None and v > bound.value_at(i):
-                raise BoundExceeded(
-                    f"child value {v} at position {i} exceeds bound "
-                    f"{bound.value_at(i)} (sequence {list(items)}, depth {depth})"
-                )
-            return v
+            return _force(y, child, depth, session, kind, pad_value) if v is None else v
 
         value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
     if not isinstance(value, int) or value < 0:
-        if at is None:
-            raise ValueError(
-                f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}"
-            )
-        raise ValueError(
-            f"point {kind}-block {list(items[:-1])}@{depth} "
-            f"produced non-natural {value!r} at {at}"
-        )
+        raise ValueError(f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}")
     session.memo_put((kind, items, depth), value)
     return value
 
@@ -684,18 +656,32 @@ def certified_depth_bounded(
 
     The certificate is len(s) plus the uniform modulus of y over points
     bounded by h', where h' lifts h by the pointwise bound at s's
-    zero-padding. It is then verified: g_eval runs over the whole window
-    above the certificate with every recursive value checked against h'
-    at its position (BoundExceeded on violation), and the window must be
-    constant (InvariantViolation otherwise; with honest bounds it cannot
-    happen).
+    zero-padding. It is then verified on a child session: g_eval runs over
+    the whole window above the certificate, every child value a g block
+    read there must be at most h' at its position (BoundExceeded
+    otherwise), and the window must be constant (InvariantViolation
+    otherwise; with honest bounds it cannot happen). The bound is audited
+    on the check session's memo, kept on for that: a g entry longer than s
+    is a child read at position len(child)-1+child[-1], and entries come
+    in the order they were first read. The audit runs even when the
+    evaluation fails, so a violation wins over any error it led to.
     """
     w = pwc_bound(y, pad(s, 0), h, session.fuel)
     lifted = Point(lambda i: max(h.value_at(i), w), name=f"lifted {h.name}")
     n_cert = len(s) + full_fan_modulus(y, lifted, session.fuel)
-    check = session.child()
-    check.bound = lifted
-    values = [g_eval(y, s, n, check) for n in range(n_cert, n_cert + session.window + 1)]
+    check = replace(session.child(), memo_enabled=True)
+    try:
+        values = [g_eval(y, s, n, check) for n in range(n_cert, n_cert + session.window + 1)]
+    finally:
+        for (_, child, depth), v in check._values.items():
+            if len(child) <= len(s):
+                continue
+            i = len(child) - 1 + child[-1]
+            if v > lifted.value_at(i):
+                raise BoundExceeded(
+                    f"child value {v} at position {i} exceeds bound {lifted.value_at(i)} "
+                    f"(sequence {list(child[:-1])}, depth {depth})"
+                )
     if any(v != values[0] for v in values):
         raise InvariantViolation(
             f"certified depth {n_cert} for {y.name} at {list(s.items)} is not stable"

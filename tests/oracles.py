@@ -89,6 +89,23 @@ GHS_NEST_AT_ZEROS = 1
 # Certified depth for f(2) at the empty start with unit height.
 CERTIFIED_PROJ2_EMPTY_H1 = 3
 
+# Certified depths under the constant bound 2 at the starts of
+# enumerate_sequences(2, 3): len(s) plus this modulus of the lifted bound.
+# f(0)+f(3) at the empty start reads a child above 2 and has none. Recorded
+# while the bound was checked on every child read, before the certificate
+# audited it, so they pin that the move changed no outcome.
+CERTIFIED_H2_MODULI = {
+    "2": 0,
+    "f(0)": 1,
+    "f(2)": 3,
+    "f(0)+f(1)": 2,
+    "f(f(0))": 3,
+    "flag-gamma[3]": 4,
+    "f(0)+f(3)": 4,
+    "ifz(f(2),1,f(4))": 5,
+    "least(2,f(1))": 3,
+}
+
 # A zero at position 20 behind nonzero noise: the flag associates of the
 # zero indicator first differ at the code of the all-zero sequence of
 # length 21, which is 1 + 20*21/2.

@@ -27,7 +27,7 @@ from gandyhyland import (
     make_session,
     replay_check,
 )
-from gandyhyland.errors import ArityError, IoError, ParseError
+from gandyhyland.errors import ArityError, ParseError
 from gandyhyland.cli.dsl import (
     Add,
     Ifz,
@@ -44,12 +44,10 @@ from gandyhyland.cli import main as cli_main
 from gandyhyland.cli.fixtures import EXPR_FIXTURES, FLAG_FIXTURES, expr_functional, parse_seq
 from gandyhyland.cli.main import (
     RESULTS_SCHEMA,
-    ResultRecord,
     RunConfig,
     cli_entry,
     emit_json,
     main,
-    read_json,
     read_trace,
     run_command,
 )
@@ -100,6 +98,10 @@ def test_parse_rejects_unknown_names_and_characters():
     with pytest.raises(ParseError) as exc:
         parse_spec("f(0)$")
     assert exc.value.offset == 4
+    # str.isdigit accepts a superscript two, which int cannot read.
+    with pytest.raises(ParseError) as exc:
+        parse_spec("f(²)")
+    assert str(exc.value) == "unexpected character '²' (line 1, column 3)"
 
 
 def _ast():
@@ -381,8 +383,22 @@ def test_recursion_past_the_frame_limit_exits_with_depth_exceeded(monkeypatch, c
     assert sys.getrecursionlimit() == limit
 
 
+def test_run_command_embeds_a_recursion_error_as_depth_exceeded():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        record = run_command("eval-gh", RunConfig(expr="f(150)", nmax=400))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert record.output is None
+    assert record.error == {
+        "type": "DepthExceeded",
+        "message": "recursion passed 400 Python frames",
+    }
+
+
 _EXPRS = ["f(0)+1", "f(3)*f(1)", "ifz(f(2), 1, f(0))", "least(2, f(1))", "f(f(0))+f(9)",
-          "f(0)+", "f(", "g(1)", "least(f(0), 1)", ""]
+          "f(0)+", "f(", "g(1)", "least(f(0), 1)", "", "f(²)"]
 _FUNCTIONALS = [[], *(["--expr", e] for e in _EXPRS),
                 *(["--fixture", name] for name in [*EXPR_FIXTURES, *FLAG_FIXTURES, "no-such"])]
 _ARGV_FLAGS = {
@@ -472,30 +488,26 @@ def test_json_results_round_trip(tmp_path):
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     assert json.loads(lines[0]) == {"schema": RESULTS_SCHEMA, "version": 1}
-    assert len(lines) == 3
-    back = read_json(path)
-    assert [r.as_dict() for r in back] == [r.as_dict() for r in records]
+    assert [json.loads(line) for line in lines[1:]] == [r.as_dict() for r in records]
 
 
 def test_json_results_empty_and_invalid(tmp_path):
-    path = str(tmp_path / "empty.ndjson")
-    emit_json([], path)
-    assert read_json(path) == []
-    bad = tmp_path / "bad.ndjson"
-    bad.write_text('{"schema": "something-else", "version": 1}\n')
-    with pytest.raises(IoError):
-        read_json(str(bad))
-    with pytest.raises(IoError):
-        read_json(str(tmp_path / "missing.ndjson"))
+    path = tmp_path / "empty.ndjson"
+    emit_json([], str(path))
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        json.dumps({"schema": RESULTS_SCHEMA, "version": 1})
+    ]
 
 
 def test_json_flag_writes_the_record(tmp_path):
     path = str(tmp_path / "run.ndjson")
     assert main(["eval-gh", "--fixture", "sum01", "--json", path]) == 0
-    back = read_json(path)
-    assert len(back) == 1
-    assert back[0].operation == "eval-gh"
-    assert back[0].output == {"value": 1, "depth": 1}
+    with open(path, encoding="utf-8") as handle:
+        header, line = handle.read().splitlines()
+    assert json.loads(header) == {"schema": RESULTS_SCHEMA, "version": 1}
+    record = json.loads(line)
+    assert record["operation"] == "eval-gh"
+    assert record["output"] == {"value": 1, "depth": 1}
 
 
 def test_trace_then_replay(tmp_path):
@@ -639,11 +651,3 @@ def test_cli_entry_exits_with_the_main_code(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli_entry()
     assert exc.value.code == 0
-
-
-def test_result_record_from_dict_defaults():
-    rec = ResultRecord.from_dict(
-        {"operation": "mu", "inputs": {}, "output": 2, "error": None}
-    )
-    assert rec.probes == {}
-    assert rec.wall_ms == 0.0

@@ -58,6 +58,7 @@ from gandyhyland.cli.fixtures import (
 from gandyhyland.cli.main import read_trace, write_trace
 from gandyhyland.evaluator import _ghs_candidates, _stub_operation
 from oracles import (
+    CERTIFIED_H2_MODULI,
     CERTIFIED_PROJ2_EMPTY_H1,
     GHS_FLAG3_AT_ONES,
     GHS_FLAG5_AT_ONES,
@@ -468,12 +469,47 @@ def test_certified_depth_dominates_stabilization():
 
 
 def test_bound_checking_trips_on_a_tall_child():
-    y = functional_fixture("sum01")
-    low, high = make_session(), make_session()
-    low.bound, high.bound = constant_point(0), constant_point(9)
-    with pytest.raises(BoundExceeded):
-        g_eval(y, EMPTY, 1, low)
-    assert g_eval(y, EMPTY, 1, high) == 1
+    # The check session audits its own memo, so the caller's memo setting
+    # changes nothing.
+    y = expr_functional("f(0)+f(3)")
+    h2 = constant_point(2, name="h2")
+    for memo_enabled in (True, False):
+        with pytest.raises(BoundExceeded) as exc:
+            certified_depth_bounded(y, EMPTY, h2, make_session(memo_enabled=memo_enabled))
+        assert str(exc.value) == (
+            "child value 3 at position 3 exceeds bound 2 (sequence [3, 2], depth 4)"
+        )
+
+
+def test_a_bound_violation_wins_over_running_dry():
+    # With 11 steps the check runs dry after reading the tall child; the
+    # violation came first, so it is what the certificate reports.
+    y = expr_functional("f(0)+f(3)")
+    with pytest.raises(BoundExceeded) as exc:
+        certified_depth_bounded(y, EMPTY, constant_point(0), make_session(fuel_steps=11))
+    assert str(exc.value) == (
+        "child value 3 at position 3 exceeds bound 0 (sequence [], depth 1)"
+    )
+
+
+def test_certified_depths_under_h2_are_frozen():
+    h2 = constant_point(2, name="h2")
+    exprs = ("f(0)+f(3)", "ifz(f(2), 1, f(4))", "least(2, f(1))")
+    outcomes = {}
+    for y in catalog_functionals() + [expr_functional(e) for e in exprs]:
+        session = make_session(fuel_steps=2_000_000)
+        for s in enumerate_sequences(2, 3):
+            try:
+                outcomes[y.name, s.items] = certified_depth_bounded(y, s, h2, session)
+            except BoundExceeded as exc:
+                outcomes[y.name, s.items] = str(exc)
+    assert outcomes.pop(("f(0)+f(3)", ())) == (
+        "child value 3 at position 3 exceeds bound 2 (sequence [3, 2], depth 4)"
+    )
+    assert len(outcomes) == 116
+    assert outcomes == {
+        (name, items): len(items) + CERTIFIED_H2_MODULI[name] for name, items in outcomes
+    }
 
 
 def test_memo_is_observationally_transparent():
@@ -681,12 +717,12 @@ def test_ghs_refuses_candidate_tails_that_fuel_cannot_cover(fuel, tlen, entries)
 
 @pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (g_eval, "g")])
 def test_a_block_meeting_a_non_natural_child_names_the_block(approx, kind):
-    # Block points are named only when something reads the name; the error
-    # raised for a non-natural child must still carry it.
+    # The block at [2] reads its child at [2, 1], a leaf whose value is not
+    # a natural; the child names itself, as every node does.
     y = Functional(apply=lambda p: p.value_at(2) - 1, name="dips")
     with pytest.raises(ValueError) as exc:
         approx(y, FinSeq((2,)), 2, make_session())
-    assert str(exc.value) == f"point {kind}-block [2]@2 produced non-natural -1 at 2"
+    assert str(exc.value) == f"{kind}-node [2, 1]@2 produced non-natural -1"
 
 
 @pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (h_hat_eval, "hhat"), (g_eval, "g")])
@@ -713,13 +749,10 @@ def test_a_node_that_runs_dry_names_its_kind_and_functional(approx, kind):
 @pytest.mark.parametrize("memo_enabled", [True, False])
 def test_child_keeps_the_knobs_with_fresh_fuel_and_tables(memo_enabled):
     y = functional_fixture("sum01")
-    bound = constant_point(9, name="h9")
-    session = make_session(window=3, nmax=20, memo_enabled=memo_enabled, bound=bound)
+    session = make_session(window=3, nmax=20, memo_enabled=memo_enabled)
     gamma_eval(y, FinSeq((0, 2)), session)
     child = session.child()
-    assert (child.window, child.nmax, child.memo_enabled, child.bound) == (
-        3, 20, memo_enabled, bound
-    )
+    assert (child.window, child.nmax, child.memo_enabled) == (3, 20, memo_enabled)
     assert child.fuel is not session.fuel
     assert child.fuel.remaining == child.fuel.budget == session.fuel.budget
     # Nothing carried over: the child pays for the whole evaluation again,
