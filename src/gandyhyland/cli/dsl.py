@@ -85,9 +85,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdecimal():
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             toks.append(_Tok("nat", text[i:j], i))
             i = j

@@ -170,11 +170,20 @@ def crafted_mu_points() -> list[tuple[Point, int]]:
 
 
 def parse_seq(text: str) -> FinSeq:
-    """Parse "a,b,c" into a finite sequence; empty or blank text is empty."""
-    text = text.strip()
-    if not text:
+    """Parse "a,b,c" into a finite sequence; empty or blank text is empty.
+
+    Each entry is ASCII digits 0-9, the expression grammar's naturals,
+    blanks around it aside; a bad entry is named at its own column.
+    """
+    if not text.strip():
         return FinSeq(())
-    try:
-        return FinSeq(tuple(int(part.strip()) for part in text.split(",")))
-    except ValueError as exc:
-        raise ParseError(f"bad sequence literal: {exc}", 0, text) from None
+    items = []
+    offset = 0
+    for part in text.split(","):
+        entry = part.strip()
+        if not (entry.isascii() and entry.isdigit()):
+            at = offset + len(part) - len(part.lstrip())
+            raise ParseError(f"bad sequence literal: entry {entry!r} is not a natural", at, text)
+        items.append(int(entry))
+        offset += len(part) + 1
+    return FinSeq(tuple(items))

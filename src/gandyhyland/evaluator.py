@@ -49,16 +49,22 @@ from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decod
 
 DEFAULT_SESSION_FUEL = 1_000_000
 
-# (evaluator kind, sequence items, depth)
+# (key kind, sequence items, depth). The key kind is "hg" for an h or g
+# node that read nothing past its depth, one entry for both; any other node
+# is keyed by its evaluator kind.
 MemoKey = tuple[str, tuple[int, ...], int]
+
+# The key kind of a clean node, one that read nothing past its depth: h and
+# g answer every block read up to the depth alike, hhat pads ones.
+_SHARED = {"h": "hg", "g": "hg", "hhat": "hhat"}
 
 
 @dataclass
 class EvalSession:
     """Shared state for one functional's evaluations.
 
-    The memo maps (evaluator kind, sequence items, depth) to a value and
-    is write-once. A leaf, where Y is applied to a padded sequence without
+    The memo maps (key kind, sequence items, depth) to a value and is
+    write-once. A leaf, where Y is applied to a padded sequence without
     recursion, is keyed by the point it evaluates, so leaves that evaluate
     the same point share one entry and one fuel step. Computed gamma
     values live in their own table together with the depth at which they
@@ -67,6 +73,14 @@ class EvalSession:
     cross-contaminate the memo, so the first functional seen claims the
     session. memo_put is the only writer, so with memo_enabled off the memo
     stays empty and every read misses.
+
+    A node is clean when neither it nor any child it read read a block
+    position past its depth, the only place where h pads and g reads on.
+    A clean h or g node is written under the shared key kind "hg" and
+    serves both kinds; a dirty one, and every hhat node, under its own
+    kind. Every leaf is clean. An h node and a g node that disagree on a
+    shared key are a memo overwrite. _past_reads counts the reads past a
+    node's depth, so a node sees whether its subtree made one.
 
     The claim also fixes the fuel context of each kind of node, the text
     a FuelExhausted raised at that node names, so it is formatted once.
@@ -82,6 +96,7 @@ class EvalSession:
     )
     _owner: Functional | None = field(default=None, init=False, repr=False)
     _contexts: dict[str, str] = field(default_factory=dict, init=False, repr=False)
+    _past_reads: int = field(default=0, init=False, repr=False)
 
     def child(self) -> EvalSession:
         """Same knobs, fresh fuel and fresh tables."""
@@ -121,8 +136,8 @@ def _level(
     y: Functional, items: tuple[int, ...], n: int, session: EvalSession, kind: str
 ) -> int:
     """Value of the kind approximation at items and depth n, read from the
-    memo under the key its node is written at and forced only on a miss.
-    The caller has claimed the session for y.
+    memo under the shared key kind, then under the kind's own, and forced
+    only on a miss. The caller has claimed the session for y.
 
     The truncating kinds (h pads zeros, hhat ones) keep the first n values:
     past the cutoff the leaf is Y at those values padded, so every sequence
@@ -134,7 +149,9 @@ def _level(
         n = max(n, len(items))
     else:
         items = items[:n]
-    value = session.memo_get((kind, items, n))
+    value = session.memo_get((_SHARED[kind], items, n))
+    if value is None:
+        value = session.memo_get((kind, items, n))
     if value is None:
         value = _force(y, items, n, session, kind, 1 if kind == "hhat" else 0)
     return value
@@ -176,13 +193,21 @@ def _force(
     At length depth the node is a leaf, Y at items padded with pad_value.
     Shorter items get a block: items, a zero, then the child at items+(j,)
     at position len(items)+j for j = 1 .. depth (for every j in g, which
-    does not truncate), then pad_value. A child is read from the memo and
-    forced only on a miss. Each forced node spends one fuel step under the
-    kind's context, and its value must be a natural before its memo entry
-    is written.
+    does not truncate), then pad_value. A child is read from the memo, as
+    _level reads it, and forced only on a miss. Each forced node spends one
+    fuel step under the kind's context, and its value must be a natural
+    before its memo entry is written.
+
+    A block read at j > depth, for every kind, and a child read from a
+    kind-keyed (dirty) entry each bump session._past_reads; a child forced
+    here bumps it itself. If the count did not move while Y was applied,
+    the node is clean and written under the shared key kind, else under
+    its own kind.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
+    shared = _SHARED[kind]
+    past = session._past_reads
     if k >= depth:
         value = y.apply(pad(_from_trusted_tuple(items), pad_value))
     else:
@@ -195,16 +220,23 @@ def _force(
             if i == k:
                 return 0
             j = i - k
-            if truncating and j > depth:
-                return pad_value
+            if j > depth:
+                session._past_reads += 1
+                if truncating:
+                    return pad_value
             child = items + (j,)
-            v = memo.get((kind, child, depth))
-            return _force(y, child, depth, session, kind, pad_value) if v is None else v
+            v = memo.get((shared, child, depth))
+            if v is None:
+                v = memo.get((kind, child, depth))
+                if v is None:
+                    return _force(y, child, depth, session, kind, pad_value)
+                session._past_reads += 1
+            return v
 
         value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
     if not isinstance(value, int) or value < 0:
         raise ValueError(f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}")
-    session.memo_put((kind, items, depth), value)
+    session.memo_put((shared if session._past_reads == past else kind, items, depth), value)
     return value
 
 
@@ -661,10 +693,11 @@ def certified_depth_bounded(
     read there must be at most h' at its position (BoundExceeded
     otherwise), and the window must be constant (InvariantViolation
     otherwise; with honest bounds it cannot happen). The bound is audited
-    on the check session's memo, kept on for that: a g entry longer than s
-    is a child read at position len(child)-1+child[-1], and entries come
-    in the order they were first read. The audit runs even when the
-    evaluation fails, so a violation wins over any error it led to.
+    on the check session's memo, kept on for that, which holds g nodes
+    alone, under either key kind: an entry longer than s is a child read
+    at position len(child)-1+child[-1], and entries come in the order they
+    were first read. The audit runs even when the evaluation fails, so a
+    violation wins over any error it led to.
     """
     w = pwc_bound(y, pad(s, 0), h, session.fuel)
     lifted = Point(lambda i: max(h.value_at(i), w), name=f"lifted {h.name}")

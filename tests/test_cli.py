@@ -98,10 +98,13 @@ def test_parse_rejects_unknown_names_and_characters():
     with pytest.raises(ParseError) as exc:
         parse_spec("f(0)$")
     assert exc.value.offset == 4
-    # str.isdigit accepts a superscript two, which int cannot read.
-    with pytest.raises(ParseError) as exc:
-        parse_spec("f(²)")
-    assert str(exc.value) == "unexpected character '²' (line 1, column 3)"
+    # Numerals are ASCII digits only: str.isdigit accepts a superscript
+    # two, which int cannot read, and str.isdecimal an Arabic-Indic three,
+    # which int reads as 3.
+    for text, ch in (("f(²)", "²"), ("f(٣)+1", "٣")):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == f"unexpected character '{ch}' (line 1, column 3)"
 
 
 def _ast():
@@ -476,6 +479,16 @@ def test_sequence_literals():
         parse_seq("1,,2")
     with pytest.raises(ParseError):
         parse_seq("1,-2")
+    # Entries are the grammar's naturals, not int's literals, and a bad
+    # one is named at its own column.
+    for text, entry, column in (
+        ("1_0", "1_0", 1), ("+3", "+3", 1), ("٣", "٣", 1), ("1,2_0", "2_0", 3), ("0, ²", "²", 4)
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_seq(text)
+        assert str(exc.value) == (
+            f"bad sequence literal: entry '{entry}' is not a natural (line 1, column {column})"
+        )
 
 
 def test_json_results_round_trip(tmp_path):
@@ -525,15 +538,15 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
     assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    # Each of evaluating, tracing and replaying spends exactly 546 steps.
+    # Each of evaluating, tracing and replaying spends exactly 309 steps.
     y = expr_functional("f(12)+1")
-    witness = herbrand_trace(y, EMPTY, make_session(546, window=14))
-    assert gamma_eval(y, EMPTY, make_session(546, window=14)) == 13
-    assert replay_check(witness, 546)
+    witness = herbrand_trace(y, EMPTY, make_session(309, window=14))
+    assert gamma_eval(y, EMPTY, make_session(309, window=14)) == 13
+    assert replay_check(witness, 309)
     for run in (
-        lambda: gamma_eval(y, EMPTY, make_session(545, window=14)),
-        lambda: herbrand_trace(y, EMPTY, make_session(545, window=14)),
-        lambda: replay_check(witness, 545),
+        lambda: gamma_eval(y, EMPTY, make_session(308, window=14)),
+        lambda: herbrand_trace(y, EMPTY, make_session(308, window=14)),
+        lambda: replay_check(witness, 308),
     ):
         with pytest.raises(FuelExhausted):
             run()
