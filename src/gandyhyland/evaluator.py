@@ -50,8 +50,9 @@ from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decod
 DEFAULT_SESSION_FUEL = 1_000_000
 
 # (key kind, sequence items, depth). The key kind is "hg" for an h or g
-# node that read nothing past its depth, one entry for both; any other node
-# is keyed by its evaluator kind.
+# node that read nothing past its depth, one entry for both, and for a free
+# node of any kind, keyed at its floor; any other node is keyed by its
+# evaluator kind.
 MemoKey = tuple[str, tuple[int, ...], int]
 
 # The key kind of a clean node, one that read nothing past its depth: h and
@@ -82,6 +83,16 @@ class EvalSession:
     shared key are a memo overwrite. _past_reads counts the reads past a
     node's depth, so a node sees whether its subtree made one.
 
+    A clean block node is free when, in addition, nothing in its subtree
+    was a leaf or was read from a per-depth entry; _tied counts those. A
+    free node has one value at every depth from its floor up, the largest
+    of len(items)+1, each block position j it read and each read child's
+    floor: there it is still a block, every read lands on the same free
+    child and no pad is reached, whatever its kind. So it is written once,
+    under ("hg", items, floor), and _floors maps items to that floor, which
+    every level read and child read checks first. _floor gathers the floor
+    of the node being forced. With memo_enabled off _floors stays empty.
+
     The claim also fixes the fuel context of each kind of node, the text
     a FuelExhausted raised at that node names, so it is formatted once.
     """
@@ -97,6 +108,9 @@ class EvalSession:
     _owner: Functional | None = field(default=None, init=False, repr=False)
     _contexts: dict[str, str] = field(default_factory=dict, init=False, repr=False)
     _past_reads: int = field(default=0, init=False, repr=False)
+    _tied: int = field(default=0, init=False, repr=False)
+    _floor: int = field(default=0, init=False, repr=False)
+    _floors: dict[tuple[int, ...], int] = field(default_factory=dict, init=False, repr=False)
 
     def child(self) -> EvalSession:
         """Same knobs, fresh fuel and fresh tables."""
@@ -136,8 +150,9 @@ def _level(
     y: Functional, items: tuple[int, ...], n: int, session: EvalSession, kind: str
 ) -> int:
     """Value of the kind approximation at items and depth n, read from the
-    memo under the shared key kind, then under the kind's own, and forced
-    only on a miss. The caller has claimed the session for y.
+    memo at the floor of a free node if n is at or above it, else under
+    the shared key kind, then under the kind's own, and forced only on a
+    miss. The caller has claimed the session for y.
 
     The truncating kinds (h pads zeros, hhat ones) keep the first n values:
     past the cutoff the leaf is Y at those values padded, so every sequence
@@ -149,6 +164,9 @@ def _level(
         n = max(n, len(items))
     else:
         items = items[:n]
+    floor = session._floors.get(items)
+    if floor is not None and floor <= n:
+        return session.memo_get(("hg", items, floor))
     value = session.memo_get((_SHARED[kind], items, n))
     if value is None:
         value = session.memo_get((kind, items, n))
@@ -200,43 +218,71 @@ def _force(
 
     A block read at j > depth, for every kind, and a child read from a
     kind-keyed (dirty) entry each bump session._past_reads; a child forced
-    here bumps it itself. If the count did not move while Y was applied,
-    the node is clean and written under the shared key kind, else under
-    its own kind.
+    here bumps it itself. Every leaf, and every child read from a per-depth
+    entry, bumps session._tied. If neither count moved while Y was applied,
+    the node is free: its value holds at every depth from its floor up, the
+    largest of len(items)+1, each j it read and each read child's floor,
+    which session._floor gathers while Y runs. A free node is written once,
+    under ("hg", items, floor), and indexed in session._floors. Otherwise it
+    is written at its depth: under the shared key kind if _past_reads did
+    not move, else under its own kind.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
     shared = _SHARED[kind]
-    past = session._past_reads
-    if k >= depth:
-        value = y.apply(pad(_from_trusted_tuple(items), pad_value))
-    else:
-        memo = session._values
-        truncating = kind != "g"
+    past, tied, outer = session._past_reads, session._tied, session._floor
+    session._floor = k + 1
+    try:
+        if k >= depth:
+            session._tied += 1
+            value = y.apply(pad(_from_trusted_tuple(items), pad_value))
+        else:
+            memo = session._values
+            floors = session._floors
+            truncating = kind != "g"
 
-        def gen(i: int) -> int:
-            if i < k:
-                return items[i]
-            if i == k:
-                return 0
-            j = i - k
-            if j > depth:
-                session._past_reads += 1
-                if truncating:
-                    return pad_value
-            child = items + (j,)
-            v = memo.get((shared, child, depth))
-            if v is None:
-                v = memo.get((kind, child, depth))
+            def gen(i: int) -> int:
+                if i < k:
+                    return items[i]
+                if i == k:
+                    return 0
+                j = i - k
+                if j > depth:
+                    session._past_reads += 1
+                    if truncating:
+                        return pad_value
+                elif j > session._floor:
+                    session._floor = j
+                child = items + (j,)
+                floor = floors.get(child)
+                if floor is not None and floor <= depth:
+                    if floor > session._floor:
+                        session._floor = floor
+                    return memo[("hg", child, floor)]
+                v = memo.get((shared, child, depth))
                 if v is None:
-                    return _force(y, child, depth, session, kind, pad_value)
-                session._past_reads += 1
-            return v
+                    v = memo.get((kind, child, depth))
+                    if v is None:
+                        return _force(y, child, depth, session, kind, pad_value)
+                    session._past_reads += 1
+                session._tied += 1
+                return v
 
-        value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
+            value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
+    finally:
+        floor, session._floor = session._floor, outer
     if not isinstance(value, int) or value < 0:
         raise ValueError(f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}")
-    session.memo_put((shared if session._past_reads == past else kind, items, depth), value)
+    if session._past_reads != past:
+        session.memo_put((kind, items, depth), value)
+    elif session._tied != tied:
+        session.memo_put((shared, items, depth), value)
+    else:
+        session.memo_put(("hg", items, floor), value)
+        if session.memo_enabled:
+            session._floors[items] = floor
+        if floor > outer:
+            session._floor = floor
     return value
 
 
@@ -696,8 +742,9 @@ def certified_depth_bounded(
     on the check session's memo, kept on for that, which holds g nodes
     alone, under either key kind: an entry longer than s is a child read
     at position len(child)-1+child[-1], and entries come in the order they
-    were first read. The audit runs even when the evaluation fails, so a
-    violation wins over any error it led to.
+    were first read. An entry's depth is the least depth at which it
+    holds: a free node's is its floor. The audit runs even when the
+    evaluation fails, so a violation wins over any error it led to.
     """
     w = pwc_bound(y, pad(s, 0), h, session.fuel)
     lifted = Point(lambda i: max(h.value_at(i), w), name=f"lifted {h.name}")

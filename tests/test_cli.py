@@ -538,15 +538,15 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
     assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    # Each of evaluating, tracing and replaying spends exactly 309 steps.
+    # Each of evaluating, tracing and replaying spends exactly 140 steps.
     y = expr_functional("f(12)+1")
-    witness = herbrand_trace(y, EMPTY, make_session(309, window=14))
-    assert gamma_eval(y, EMPTY, make_session(309, window=14)) == 13
-    assert replay_check(witness, 309)
+    witness = herbrand_trace(y, EMPTY, make_session(140, window=14))
+    assert gamma_eval(y, EMPTY, make_session(140, window=14)) == 13
+    assert replay_check(witness, 140)
     for run in (
-        lambda: gamma_eval(y, EMPTY, make_session(308, window=14)),
-        lambda: herbrand_trace(y, EMPTY, make_session(308, window=14)),
-        lambda: replay_check(witness, 308),
+        lambda: gamma_eval(y, EMPTY, make_session(139, window=14)),
+        lambda: herbrand_trace(y, EMPTY, make_session(139, window=14)),
+        lambda: replay_check(witness, 139),
     ):
         with pytest.raises(FuelExhausted):
             run()

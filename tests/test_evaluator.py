@@ -276,8 +276,8 @@ def test_trace_replays_cleanly():
 @pytest.mark.parametrize(
     "expr, start, window, work",
     [
-        ("f(12)+1", (), 14, (322, 13, 27, 12, 13)),
-        ("f(0)+f(1)", (0, 2), 4, (8, 2, 7, 2, 2)),
+        ("f(12)+1", (), 14, (153, 13, 27, 12, 13)),
+        ("f(0)+f(1)", (0, 2), 4, (5, 2, 7, 2, 2)),
     ],
 )
 def test_trace_path_work_counts_are_frozen(expr, start, window, work):
@@ -582,6 +582,41 @@ def test_h_and_g_sharing_nodes_is_observationally_transparent(tree, starts, dept
                 assert evaluate(y, start, n, with_memo) == expected, (items, n, evaluate.__name__)
 
 
+@settings(deadline=None)
+# At () the block reads position 4, the child (4), whose own floor is 2:
+# the floor is 4, since at depths 2 and 3 h pads that position instead.
+@example(tree=parse_spec("ifz(f(0), f(4), 3)"), starts=[()], shuffled=list(range(7)))
+# (1) is free with floor 5; () then reads it from the memo at j = 1 and
+# takes its floor 5 too, as h at () below depth 5 reaches a leaf.
+@example(tree=parse_spec("ifz(f(0), f(1), f(4)+1)"), starts=[(1,), ()], shuffled=list(range(7)))
+@given(
+    tree=_SHALLOW_AST,
+    starts=st.permutations([s.items for s in enumerate_sequences(1, 5)]),
+    shuffled=st.permutations(range(7)),
+)
+def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
+    # A node that met no leaf and read nothing past its depth is written
+    # once, at its floor, and read back at every depth from there up, by
+    # all three kinds. Memo-free evaluation writes no floor, so it checks
+    # them from outside, whichever order the depths come in.
+    y = functional_from_ast(tree)
+    without = make_session(memo_enabled=False)
+    kinds = (h_eval, h_hat_eval, g_eval)
+    expected = {
+        (items, n, evaluate): evaluate(y, FinSeq(items), n, without)
+        for items in starts
+        for n in shuffled
+        for evaluate in kinds
+    }
+    for depths in (range(7), range(6, -1, -1), shuffled):
+        with_memo = make_session()
+        for n in depths:
+            for items in starts:
+                for evaluate in kinds:
+                    value = evaluate(y, FinSeq(items), n, with_memo)
+                    assert value == expected[items, n, evaluate], (items, n, evaluate.__name__)
+
+
 @given(
     tree=_SHALLOW_AST,
     start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
@@ -648,9 +683,9 @@ def _work(session: EvalSession) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "expr, start, window, value, fuel, memo",
     [
-        ("f(12)+1", (), 14, 13, 309, 309),
-        ("f(0)+f(16)*2", (1, 0), 18, 32767, 428, 428),
-        ("f(f(0))", (), 4, 0, 5, 5),
+        ("f(12)+1", (), 14, 13, 140, 140),
+        ("f(0)+f(16)*2", (1, 0), 18, 32767, 173, 173),
+        ("f(f(0))", (), 4, 0, 2, 2),
     ],
 )
 def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, memo):
@@ -665,17 +700,17 @@ def test_ghs_witness_work_counts_are_frozen():
     y = functional_from_associate(flag_associate("flag-gamma", 5))
     session = make_session(fuel_steps=2_000_000, window=6)
     assert ghs_witness(y, constant_point(0, name="zeros"), session) == 6
-    assert _work(session) == (4375, 4375)
+    assert _work(session) == (1683, 1683)
 
 
 @pytest.mark.parametrize(
     "name, m0, point, work",
     [
-        ("flag-gamma", 3, 1, (573, 573)),
-        ("flag-gamma", 5, 1, (2021, 2021)),
-        ("proj2", 3, 2, (446, 446)),
-        ("sum01", 3, 1, (324, 324)),
-        ("nest", 3, 0, (355, 355)),
+        ("flag-gamma", 3, 1, (319, 319)),
+        ("flag-gamma", 5, 1, (1687, 1687)),
+        ("proj2", 3, 2, (243, 243)),
+        ("sum01", 3, 1, (193, 193)),
+        ("nest", 3, 0, (208, 208)),
     ],
 )
 def test_uniform_depth_work_counts_are_frozen(name, m0, point, work):
@@ -699,6 +734,23 @@ def test_leaves_are_keyed_by_the_point_they_evaluate():
     s = FinSeq((3, 0, 4))
     assert [g_eval(y, s, n, session) for n in range(len(s) + 1)] == [3] * 4
     assert _work(session) == (1, 1)
+
+
+def test_levels_above_a_floor_are_free():
+    # f(12)+1 at depth 13 forces the chain (), (12), (12, 11), .., whose
+    # last node is a block reading the zero at its own length: all 13 nodes
+    # are free with floor 13 and serve every kind at every depth above.
+    # At depth 12 the last node is a leaf, so the chain is forced again.
+    y = expr_functional("f(12)+1")
+    session = make_session()
+    assert h_eval(y, EMPTY, 13, session) == 13
+    assert _work(session) == (13, 13)
+    for n in range(14, 41):
+        for approx in (h_eval, h_hat_eval, g_eval):
+            assert approx(y, EMPTY, n, session) == 13
+    assert _work(session) == (13, 13)
+    assert h_eval(y, EMPTY, 12, session) == 13
+    assert _work(session) == (26, 26)
 
 
 def test_session_serves_one_functional():
