@@ -297,6 +297,12 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
 
     At every N <= len(s), g_eval is the one leaf at s, applied once before
     the search (which also claims the session).
+
+    The search ends at the start's floor: once s has a floor entry at or
+    below n, h and g read that one entry at every depth from n up, so the
+    run holding at n never breaks. It is the answer if it starts at or
+    below nmax; otherwise no window can, and the search fails as a scan of
+    every depth up to nmax+window would.
     """
     leaf = g_eval(y, s, 0, session)
     items = s.items
@@ -312,7 +318,9 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
         if last is not None and gv != last:
             run_start = n
         last = gv
-        if n - run_start >= session.window:
+        if n - run_start >= session.window or session._floors.get(items, n + 1) <= n:
+            if run_start > session.nmax:
+                break
             return run_start, gv
     raise StabilizationFailed(
         f"no stable window of width {session.window + 1} below depth {session.nmax} "
@@ -547,8 +555,9 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
     fresh = session.child()
     result = gamma_eval(wrapped, s, fresh)
     depth = fresh.gamma_depth(s)
-    # Memo hits only: the stabilization search already visited every depth
-    # in this range, so reading the values back consumes no new probes.
+    # Memo hits only: the stabilization search visited every depth in this
+    # range below the start's floor, and every depth above it reads the
+    # floor entry, so reading the values back consumes no new probes.
     trajectory = _trajectory(wrapped, s, fresh, depth + fresh.window + 1)
     return HerbrandWitness(
         probes={"apply": list(recorder.table.items())},

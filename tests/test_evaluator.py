@@ -56,7 +56,7 @@ from gandyhyland.cli.fixtures import (
     functional_fixture,
 )
 from gandyhyland.cli.main import read_trace, write_trace
-from gandyhyland.evaluator import _ghs_candidates, _stub_operation
+from gandyhyland.evaluator import _ghs_candidates, _level, _stub_operation
 from oracles import (
     CERTIFIED_H2_MODULI,
     CERTIFIED_PROJ2_EMPTY_H1,
@@ -617,6 +617,35 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
                     assert value == expected[items, n, evaluate], (items, n, evaluate.__name__)
 
 
+@settings(deadline=None)
+# The chain (), (6), (6, 5), .. is free from depth 7 on, and h and g first
+# agree at 6: the run that starts there never breaks, but starts past nmax.
+@example(tree=parse_spec("f(6)+1"), starts=[()], window=4, nmax=5)
+# Stabilizing () leaves (2) a floor of 3, but at (2) the value moves from
+# 1 to 2 at depth 2: a floor above n must not end the search at n.
+@example(tree=parse_spec("f(2)+1"), starts=[(), (2,)], window=2, nmax=1)
+@given(
+    tree=_SHALLOW_AST,
+    starts=st.permutations([s.items for s in enumerate_sequences(2, 3)]),
+    window=st.integers(min_value=0, max_value=4),
+    nmax=st.integers(min_value=0, max_value=6),
+)
+def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, nmax):
+    # With the memo, the search ends at a start's floor, where every later
+    # depth reads one entry; without it, it scans every depth up to
+    # nmax+window. Warm floors left by earlier starts must not end it early.
+    y = functional_from_ast(tree)
+    sessions = [make_session(window=window, nmax=nmax, memo_enabled=m) for m in (True, False)]
+    for items in starts:
+        outcomes = []
+        for session in sessions:
+            try:
+                outcomes.append(stabilize(y, FinSeq(items), session))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], items
+
+
 @given(
     tree=_SHALLOW_AST,
     start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
@@ -751,6 +780,31 @@ def test_levels_above_a_floor_are_free():
     assert _work(session) == (13, 13)
     assert h_eval(y, EMPTY, 12, session) == 13
     assert _work(session) == (26, 26)
+
+
+@pytest.mark.parametrize(
+    "expr, start, window, evaluate, reads, fuel",
+    [
+        ("f(12)+1", (), 14, stabilize, 28, 115),
+        ("f(12)+1", (), 1_000_000, stabilize, 28, 115),
+        ("f(12)+1", (), 14, gamma_eval, 286, 140),
+        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 34, 148),
+        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 405, 173),
+    ],
+)
+def test_stabilize_reads_no_level_above_a_floor(
+    monkeypatch, expr, start, window, evaluate, reads, fuel
+):
+    # Every depth above a start's floor reads one entry, so the search ends
+    # there, however wide the window. The reads it skips were memo hits:
+    # the fuel is what a scan of every depth up to N0+window spends.
+    calls = []
+    monkeypatch.setattr(
+        "gandyhyland.evaluator._level", lambda *args: calls.append(args) or _level(*args)
+    )
+    session = make_session(window=window)
+    evaluate(expr_functional(expr), FinSeq(start), session)
+    assert (len(calls), session.fuel.budget - session.fuel.remaining) == (reads, fuel)
 
 
 def test_session_serves_one_functional():
