@@ -266,10 +266,12 @@ def check_herbrand_replay() -> Iterator[str]:
 
 @_check(
     "cross-coherence",
-    "11 associates x 10 points: three modulus routes agree; certified depth dominates observed",
+    "11 associates x 10 points: three modulus routes agree; certified depth dominates "
+    "observed, and g_eval there equals gamma_eval",
 )
 def check_cross_coherence() -> Iterator[str]:
-    """Three modulus constructions agree; certified bounds dominate observed ones."""
+    """Three modulus constructions agree; certified bounds dominate observed
+    ones, and the value at the certified depth is the checked value."""
     points = sample_points()
     for assoc in catalog_associates():
         y = functional_from_associate(assoc, 100_000)
@@ -297,6 +299,9 @@ def check_cross_coherence() -> Iterator[str]:
             n_cert = certified_depth_bounded(y, s, h2, session)
             if n_cert < n0:
                 yield f"{y.name} at {s}: certified {n_cert} below observed {n0}"
+            certified, checked = g_eval(y, s, n_cert, session), gamma_eval(y, s, session)
+            if certified != checked:
+                yield f"{y.name} at {s}: g_eval {certified} at certified {n_cert}, gamma {checked}"
 
 
 @_check(

@@ -49,14 +49,12 @@ from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, decod
 
 DEFAULT_SESSION_FUEL = 1_000_000
 
-# (key kind, sequence items, depth). The key kind is "hg" for an h or g
-# node that read nothing past its depth, one entry for both, and for a free
-# node of any kind, keyed at its floor; any other node is keyed by its
-# evaluator kind.
+# (key kind, sequence items, depth). _force says which key kind a node is
+# written under: "hg", "hhat" or its evaluator kind.
 MemoKey = tuple[str, tuple[int, ...], int]
 
-# The key kind of a clean node, one that read nothing past its depth: h and
-# g answer every block read up to the depth alike, hhat pads ones.
+# The key kind of a clean node (see _force): h and g answer every block read
+# up to the depth alike, hhat pads ones.
 _SHARED = {"h": "hg", "g": "hg", "hhat": "hhat"}
 
 
@@ -64,37 +62,25 @@ _SHARED = {"h": "hg", "g": "hg", "hhat": "hhat"}
 class EvalSession:
     """Shared state for one functional's evaluations.
 
-    The memo maps (key kind, sequence items, depth) to a value and is
-    write-once. A leaf, where Y is applied to a padded sequence without
-    recursion, is keyed by the point it evaluates, so leaves that evaluate
-    the same point share one entry and one fuel step. Computed gamma
-    values live in their own table together with the depth at which they
-    stabilized, and only while certified or being certified. A session
-    serves exactly one functional: mixing two would silently
+    _values, the memo, maps a MemoKey to a node's value and is write-once.
+    memo_put is its only writer, so with memo_enabled off it stays empty
+    and every read misses. _floors maps the items of each free node (see
+    _force) to its floor, the depth its one entry is keyed at; with
+    memo_enabled off it stays empty too. _gamma holds computed gamma
+    values together with the depth at which they stabilized, only while
+    certified or being certified.
+
+    A session serves exactly one functional: mixing two would silently
     cross-contaminate the memo, so the first functional seen claims the
-    session. memo_put is the only writer, so with memo_enabled off the memo
-    stays empty and every read misses.
+    session. The claim also fixes _contexts, the fuel context of each kind
+    of node, the text a FuelExhausted raised at that node names, so it is
+    formatted once.
 
-    A node is clean when neither it nor any child it read read a block
-    position past its depth, the only place where h pads and g reads on.
-    A clean h or g node is written under the shared key kind "hg" and
-    serves both kinds; a dirty one, and every hhat node, under its own
-    kind. Every leaf is clean. An h node and a g node that disagree on a
-    shared key are a memo overwrite. _past_reads counts the reads past a
-    node's depth, so a node sees whether its subtree made one.
-
-    A clean block node is free when, in addition, nothing in its subtree
-    was a leaf or was read from a per-depth entry; _tied counts those. A
-    free node has one value at every depth from its floor up, the largest
-    of len(items)+1, each block position j it read and each read child's
-    floor: there it is still a block, every read lands on the same free
-    child and no pad is reached, whatever its kind. So it is written once,
-    under ("hg", items, floor), and _floors maps items to that floor, which
-    every level read and child read checks first. _floor gathers the floor
-    of the node being forced. With memo_enabled off _floors stays empty.
-
-    The claim also fixes the fuel context of each kind of node, the text
-    a FuelExhausted raised at that node names, so it is formatted once.
+    _past_reads, _tied and _floor tell the node being forced what its
+    subtree did: _past_reads counts the reads past a node's depth made in
+    its subtree, _tied the leaves and per-depth entries met there, and
+    _floor gathers the node's floor. _level and _force move them, and
+    _force reads them.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -152,26 +138,37 @@ def _level(
     """Value of the kind approximation at items and depth n, read from the
     memo at the floor of a free node if n is at or above it, else under
     the shared key kind, then under the kind's own, and forced only on a
-    miss. The caller has claimed the session for y.
+    miss. The caller has claimed the session for y. Every level request
+    and every child read of a block comes here.
 
     The truncating kinds (h pads zeros, hhat ones) keep the first n values:
     past the cutoff the leaf is Y at those values padded, so every sequence
     sharing them hits one entry. g never truncates: a sequence at least n
     long is evaluated at its own zero-padding whatever n is, so its depth
     rises to len(items).
+
+    A hit tells the node being forced, if any, what its subtree did: a
+    floor hit raises session._floor to that floor, a per-depth hit bumps
+    session._tied, and a kind-keyed (dirty) hit bumps session._past_reads
+    as well. A miss leaves the bookkeeping to _force.
     """
     if kind == "g":
         n = max(n, len(items))
     else:
         items = items[:n]
+    memo = session._values
     floor = session._floors.get(items)
     if floor is not None and floor <= n:
-        return session.memo_get(("hg", items, floor))
-    value = session.memo_get((_SHARED[kind], items, n))
+        if floor > session._floor:
+            session._floor = floor
+        return memo[("hg", items, floor)]
+    value = memo.get((_SHARED[kind], items, n))
     if value is None:
-        value = session.memo_get((kind, items, n))
-    if value is None:
-        value = _force(y, items, n, session, kind, 1 if kind == "hhat" else 0)
+        value = memo.get((kind, items, n))
+        if value is None:
+            return _force(y, items, n, session, kind)
+        session._past_reads += 1
+    session._tied += 1
     return value
 
 
@@ -198,38 +195,37 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
 
 
 def _force(
-    y: Functional,
-    items: tuple[int, ...],
-    depth: int,
-    session: EvalSession,
-    kind: str,
-    pad_value: int,
+    y: Functional, items: tuple[int, ...], depth: int, session: EvalSession, kind: str
 ) -> int:
     """Value of the kind node at items and depth, which is not in the memo;
-    items is at most depth long.
+    items is at most depth long. It spends one fuel step under the kind's
+    context, and its value must be a natural before it is written.
 
-    At length depth the node is a leaf, Y at items padded with pad_value.
-    Shorter items get a block: items, a zero, then the child at items+(j,)
-    at position len(items)+j for j = 1 .. depth (for every j in g, which
-    does not truncate), then pad_value. A child is read from the memo, as
-    _level reads it, and forced only on a miss. Each forced node spends one
-    fuel step under the kind's context, and its value must be a natural
-    before its memo entry is written.
+    At length depth the node is a leaf, Y at items padded with the kind's
+    pad value (one for hhat, else zero), and bumps session._tied. Shorter
+    items get a block: items, a zero, then the child at items+(j,) at
+    position len(items)+j for j = 1 .. depth (for every j in g, which does
+    not truncate), then the pad value. A child is read through _level. A
+    block read at j > depth, for every kind, bumps session._past_reads, and
+    each j read raises session._floor to at least j.
 
-    A block read at j > depth, for every kind, and a child read from a
-    kind-keyed (dirty) entry each bump session._past_reads; a child forced
-    here bumps it itself. Every leaf, and every child read from a per-depth
-    entry, bumps session._tied. If neither count moved while Y was applied,
-    the node is free: its value holds at every depth from its floor up, the
-    largest of len(items)+1, each j it read and each read child's floor,
-    which session._floor gathers while Y runs. A free node is written once,
-    under ("hg", items, floor), and indexed in session._floors. Otherwise it
-    is written at its depth: under the shared key kind if _past_reads did
-    not move, else under its own kind.
+    The node is clean if _past_reads did not move while Y ran: nothing in
+    its subtree read past its depth, the only place where h pads and g
+    reads on. A dirty node is written at its depth under its own kind, a
+    clean one under the shared key kind, so a clean h or g node serves
+    both kinds (an h and a g node that disagree there are a memo
+    overwrite). A clean node is free if _tied did not move either: no leaf
+    and no per-depth entry in its subtree. A free node has one value at
+    every depth from its floor up, the largest of len(items)+1, each j it
+    read and each read child's floor, which session._floor gathers: there
+    it is still a block, every read lands on the same free child and no
+    pad is reached, whatever its kind. It is written once, under ("hg",
+    items, floor), indexed in session._floors, and passes its floor on to
+    the node that read it.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
-    shared = _SHARED[kind]
+    pad_value = 1 if kind == "hhat" else 0
     past, tied, outer = session._past_reads, session._tied, session._floor
     session._floor = k + 1
     try:
@@ -237,8 +233,6 @@ def _force(
             session._tied += 1
             value = y.apply(pad(_from_trusted_tuple(items), pad_value))
         else:
-            memo = session._values
-            floors = session._floors
             truncating = kind != "g"
 
             def gen(i: int) -> int:
@@ -253,20 +247,7 @@ def _force(
                         return pad_value
                 elif j > session._floor:
                     session._floor = j
-                child = items + (j,)
-                floor = floors.get(child)
-                if floor is not None and floor <= depth:
-                    if floor > session._floor:
-                        session._floor = floor
-                    return memo[("hg", child, floor)]
-                v = memo.get((shared, child, depth))
-                if v is None:
-                    v = memo.get((kind, child, depth))
-                    if v is None:
-                        return _force(y, child, depth, session, kind, pad_value)
-                    session._past_reads += 1
-                session._tied += 1
-                return v
+                return _level(y, items + (j,), depth, session, kind)
 
             value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
     finally:
@@ -276,7 +257,7 @@ def _force(
     if session._past_reads != past:
         session.memo_put((kind, items, depth), value)
     elif session._tied != tied:
-        session.memo_put((shared, items, depth), value)
+        session.memo_put((_SHARED[kind], items, depth), value)
     else:
         session.memo_put(("hg", items, floor), value)
         if session.memo_enabled:
@@ -549,16 +530,27 @@ class _Recorder:
 
 
 def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWitness:
-    """Run gamma_eval at s on a fresh session, recording every oracle call."""
+    """Run gamma_eval at s on a fresh session, recording every oracle call.
+
+    The trajectory holds depth+window+1 rows. They are memo hits, so fuel
+    does not bound them: if there are more rows than the session's fuel
+    budget, FuelExhausted is raised before any row is read.
+    """
     recorder = _Recorder()
     wrapped = Functional(apply=recorder.wrap(y.apply), name=f"traced {y.name}")
     fresh = session.child()
     result = gamma_eval(wrapped, s, fresh)
     depth = fresh.gamma_depth(s)
+    rows = depth + fresh.window + 1
+    if rows > fresh.fuel.budget:
+        raise FuelExhausted(
+            f"herbrand_trace({y.name}): the trajectory holds {rows} rows, "
+            f"more than the fuel budget of {fresh.fuel.budget} steps"
+        )
     # Memo hits only: the stabilization search visited every depth in this
     # range below the start's floor, and every depth above it reads the
     # floor entry, so reading the values back consumes no new probes.
-    trajectory = _trajectory(wrapped, s, fresh, depth + fresh.window + 1)
+    trajectory = _trajectory(wrapped, s, fresh, rows)
     return HerbrandWitness(
         probes={"apply": list(recorder.table.items())},
         depth=depth,

@@ -552,6 +552,19 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
             run()
 
 
+def test_trace_refuses_a_window_past_its_fuel_before_writing(tmp_path, capsys):
+    # Ten million trajectory rows are memo hits, which spend no fuel; read,
+    # they would fill memory. They are refused before any is read.
+    path = tmp_path / "wide.trace"
+    argv = ["trace", "--expr", "f(3)+1", "--window", "10000000", "--trace", str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == (
+        "trace: error[FuelExhausted] herbrand_trace(f(3)+1): the trajectory holds "
+        "10000004 rows, more than the fuel budget of 1000000 steps\n"
+    )
+    assert not path.exists()
+
+
 def test_replay_takes_its_run_from_the_file(tmp_path, capsys):
     path = tmp_path / "deep.trace"
     assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", str(path)]) == 0

@@ -555,6 +555,26 @@ def test_memo_keys_are_observationally_transparent(tree, start, depth):
 
 
 @settings(deadline=None)
+@given(tree=_SHALLOW_AST, start=st.sampled_from(enumerate_sequences(2, 3)))
+def test_the_certified_depth_gives_the_value_unless_the_bound_fails(tree, start):
+    # The paper's route: a depth from the fan and pointwise bounds alone, no
+    # settling search. Under h = 2 either some child value exceeds the
+    # bound, and the certificate says so, or g there is the literal value.
+    # The dense bar search may also run dry where the lifted bound is wide,
+    # e.g. (ifz(f(2), f(1), 1)+3)*(f(4)+3) at [0, 2]; it never gives a value.
+    y = functional_from_ast(tree)
+    session = make_session()
+    try:
+        depth = certified_depth_bounded(y, start, constant_point(2, name="h2"), session)
+    except BoundExceeded:
+        return
+    except FuelExhausted as exc:
+        assert str(exc).startswith("bar search("), str(exc)
+        return
+    assert g_eval(y, start, depth, session) == brute_gamma(y, start)
+
+
+@settings(deadline=None)
 # At (1) and depth 2 both nodes read position 4 past the depth (h its pad,
 # g the child (1, 3)), so h gives 1 and g gives 2, each under its own key.
 # The nodes at () read (1) warm from the memo, and must not share a value.
@@ -797,14 +817,24 @@ def test_stabilize_reads_no_level_above_a_floor(
 ):
     # Every depth above a start's floor reads one entry, so the search ends
     # there, however wide the window. The reads it skips were memo hits:
-    # the fuel is what a scan of every depth up to N0+window spends.
-    calls = []
-    monkeypatch.setattr(
-        "gandyhyland.evaluator._level", lambda *args: calls.append(args) or _level(*args)
-    )
+    # the fuel is what a scan of every depth up to N0+window spends. A
+    # block's child reads go through _level too; only outermost calls,
+    # the level reads, are counted.
+    outermost = nesting = 0
+
+    def counting(*args):
+        nonlocal outermost, nesting
+        outermost += nesting == 0
+        nesting += 1
+        try:
+            return _level(*args)
+        finally:
+            nesting -= 1
+
+    monkeypatch.setattr("gandyhyland.evaluator._level", counting)
     session = make_session(window=window)
     evaluate(expr_functional(expr), FinSeq(start), session)
-    assert (len(calls), session.fuel.budget - session.fuel.remaining) == (reads, fuel)
+    assert (outermost, session.fuel.budget - session.fuel.remaining) == (reads, fuel)
 
 
 def test_session_serves_one_functional():
@@ -847,6 +877,21 @@ def test_ghs_refuses_candidate_tails_that_fuel_cannot_cover(fuel, tlen, entries)
         f"entries, more than the {fuel} fuel steps left"
     )
     assert session.fuel.remaining == fuel
+
+
+def test_trace_refuses_a_trajectory_longer_than_its_fuel_budget():
+    # The trajectory's depth+window+1 rows are memo hits that spend no fuel,
+    # so their count is held to the budget, not to the fuel left: here the
+    # run spends 16 of 60 steps and 60 rows are still read.
+    y = expr_functional("f(3)+1")
+    witness = herbrand_trace(y, EMPTY, make_session(60, window=56))
+    assert (witness.depth, len(witness.trajectory), witness.result) == (3, 60, 4)
+    with pytest.raises(FuelExhausted) as exc:
+        herbrand_trace(y, EMPTY, make_session(60, window=57))
+    assert str(exc.value) == (
+        "herbrand_trace(f(3)+1): the trajectory holds 61 rows, "
+        "more than the fuel budget of 60 steps"
+    )
 
 
 @pytest.mark.parametrize("approx, kind", [(h_eval, "h"), (g_eval, "g")])
