@@ -10,9 +10,9 @@ Grammar, whitespace-insensitive:
 f(e) probes the argument point at index e. ifz(c, a, b) evaluates a when c
 is zero and b otherwise. least(k, e) evaluates e against the argument
 shifted right by j for j = 0..k-1 and returns the first j where it lands
-on zero, or k; the literal bound keeps every expression total, so plain
-evaluation with read tracking doubles as a modulus (the deepest probed
-index plus one, the reachable probe depth on that point).
+on zero, or k; the literal bound keeps every expression total, so what
+one evaluation reads is all its value depends on (functionals.settled
+reads continuity off that).
 """
 
 from __future__ import annotations
@@ -226,15 +226,15 @@ def render(node: FunctionalSpecAst) -> str:
 
 
 def functional_from_ast(node: FunctionalSpecAst) -> Functional:
-    """Compile an expression into a Functional with a read-tracking modulus.
+    """Compile an expression into a Functional.
 
     The tree is compiled once into nested closures. A sum or product
     evaluates its left operand first, ifz evaluates only the branch it
     picks, and least() evaluates its body against shifted views of the
     argument, so reads happen in the order the expression spells them.
-    The modulus applies the compiled expression to a wrapper that records
-    the deepest index read and returns one past it; the shifted views
-    forward reads to the wrapper, so recorded positions are absolute.
+    The shifted views forward reads to the argument, so a point that
+    watches its reads, as settled's does, sees each at its absolute
+    position.
     """
 
     def compile_node(node: FunctionalSpecAst) -> Callable[[Point], int]:
@@ -272,18 +272,4 @@ def functional_from_ast(node: FunctionalSpecAst) -> Functional:
             return least
         raise TypeError(f"not an expression node: {node!r}")
 
-    apply = compile_node(node)
-
-    def modulus(point: Point) -> int:
-        deepest = -1
-
-        def gen(i: int) -> int:
-            nonlocal deepest
-            if i > deepest:
-                deepest = i
-            return point.value_at(i)
-
-        apply(Point(gen, lambda: f"tracked {point.name}"))
-        return deepest + 1
-
-    return Functional(apply=apply, modulus=modulus, name=render(node))
+    return Functional(apply=compile_node(node), name=render(node))

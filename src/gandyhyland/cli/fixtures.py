@@ -61,7 +61,7 @@ def functional_fixture(name: str, m0: int = 3, fuel_budget: int = DEFAULT_FUEL) 
     if name in FLAG_FIXTURES:
         assoc = flag_associate(name, m0)
         fn = functional_from_associate(assoc, fuel_budget)
-        return Functional(apply=fn.apply, modulus=fn.modulus, name=assoc.name)
+        return Functional(apply=fn.apply, name=assoc.name)
     text = EXPR_FIXTURES.get(name)
     if text is None:
         known = ", ".join(sorted(EXPR_FIXTURES) + list(FLAG_FIXTURES))

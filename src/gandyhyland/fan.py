@@ -1,10 +1,9 @@
 """Uniform moduli over bounded trees of points, and the fan checks.
 
 The bar search underlying everything here walks the tree of finite
-sequences bounded pointwise by a stream h, pruning a branch as soon as the
-functional's modulus at the branch's zero-padding says the value is fixed.
-Continuity makes every branch prune eventually; Fuel guards against
-functionals whose modulus lies.
+sequences bounded pointwise by a stream h, pruning a branch as soon as it
+settles the functional (functionals.settled). Continuity makes every
+branch prune eventually; Fuel guards against functionals that never do.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from functools import cached_property
 from itertools import product
 from typing import Callable
 
-from .errors import DepthExceeded, InvariantViolation
-from .functionals import Fuel, Functional
+from .errors import DepthExceeded
+from .functionals import Fuel, Functional, settled
 from .sequences import EMPTY, FinSeq, Point, constant_point, extend, pad, take
 
 
@@ -60,11 +59,9 @@ def _bar_values(y: Functional, h: Point, sigma: FinSeq, fuel: Fuel) -> tuple[set
 
     def walk(sigma: FinSeq) -> tuple[set[int], int]:
         fuel.spend(context)
-        p = pad(sigma, 0)
-        if y.modulus is None:
-            raise InvariantViolation(f"{y.name} has no modulus; bar search needs one")
-        if y.modulus(p) <= len(sigma):
-            return {y.apply(p)}, -1
+        value = settled(y, sigma)
+        if value is not None:
+            return {value}, -1
         vals: set[int] = set()
         conflict = -1
         for v in range(h.value_at(len(sigma)) + 1):

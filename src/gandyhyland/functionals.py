@@ -1,11 +1,10 @@
 """Type-two functionals, their countable associates, and bounded search.
 
-A Functional wraps a total continuous operation on points together with an
-optional modulus (how long a prefix determines the value). An Associate is
-the countable face of the same thing: a query on finite prefixes answering
-0 for "not yet decided" and v+1 for "decided, value v". The two directions
-of the correspondence are associate_from_functional and
-functional_from_associate.
+A Functional wraps a total continuous operation on points; settled reads
+its continuity off what it reads. An Associate is the countable face of
+the same thing: a query on finite prefixes answering 0 for "not yet
+decided" and v+1 for "decided, value v". The two directions of the
+correspondence are associate_from_functional and functional_from_associate.
 
 All possibly-unbounded scans take a Fuel budget and raise FuelExhausted
 instead of diverging.
@@ -13,12 +12,12 @@ instead of diverging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .errors import FuelExhausted, InvariantViolation
-from .sequences import EMPTY, FinSeq, Point, _from_trusted_tuple, extend, pad, take
+from .errors import FuelExhausted
+from .sequences import EMPTY, FinSeq, Point, _from_trusted_tuple, extend
 
 DEFAULT_FUEL = 100_000
 
@@ -66,11 +65,12 @@ class Associate:
 
 @dataclass
 class Functional:
-    """Total continuous operation on points, with an optional modulus.
+    """Total continuous operation on points.
 
-    modulus(f) is a length m such that the value only depends on the first
-    m values of f. It may be None for functionals only used where no
-    modulus is required.
+    Only apply is used: where the package needs continuity, settled reads
+    it off what apply reads. Nothing in the package sets or reads modulus;
+    the field stays so that code passing the three fields by position,
+    such as perfbench/tracer.py, keeps working.
     """
 
     apply: Callable[[Point], int]
@@ -138,41 +138,51 @@ def check_neighbourhood(gamma: Associate, depth: int, width: int) -> bool:
     return walk(EMPTY, 0)
 
 
-def associate_from_functional(y: Functional) -> Associate:
-    """Canonical associate of a functional that carries a modulus.
-
-    A prefix decides as soon as it is at least as long as the modulus at
-    its zero-padding, and then reports the value there.
+def settled(y: Functional, sigma: FinSeq) -> int | None:
+    """y's value at sigma's zero-padding if no read of that one apply went
+    past sigma, so that every extension of sigma has it too; None otherwise.
     """
-    if y.modulus is None:
-        raise InvariantViolation(f"{y.name} has no modulus; cannot build associate")
+    items = sigma.items
+    k = len(items)
+    past = False
+
+    def gen(n: int) -> int:
+        nonlocal past
+        if n < k:
+            return items[n]
+        past = True
+        return 0
+
+    value = y.apply(Point(gen, lambda: f"{list(items)}*0.."))
+    return None if past else value
+
+
+def associate_from_functional(y: Functional) -> Associate:
+    """Canonical associate of a functional: a prefix decides once it
+    settles y, and then reports the value at its zero-padding."""
 
     def query(sigma: FinSeq) -> int:
-        p = pad(sigma, 0)
-        if y.modulus(p) <= len(sigma):
-            return y.apply(p) + 1
-        return 0
+        value = settled(y, sigma)
+        return 0 if value is None else value + 1
 
     return Associate(query, name=f"assoc({y.name})")
 
 
 def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL) -> Functional:
-    """Functional evaluating gamma along its argument. apply and modulus share one
+    """Functional evaluating gamma along its argument; its calls share one
     trie of per-prefix answers.
 
-    Fuel is split. Each apply or modulus call spends its own
-    Fuel(fuel_budget), one step per trie level walked, trie hits included,
-    and raises FuelExhausted naming the operation and gamma when that runs
-    dry. None of it is charged to an evaluation session that applies this
+    Fuel is split. Each apply call spends its own Fuel(fuel_budget), one
+    step per trie level walked, trie hits included, and raises
+    FuelExhausted naming associate_apply and gamma when that runs dry. None
+    of it is charged to an evaluation session that applies this
     functional: the session's fuel (the CLI's --fuel) bounds the session's
     own evaluation steps only. The CLI passes --fuel as fuel_budget too.
     """
     trie: list = [None, {}]
-    apply_context = f"associate_apply({gamma.name})"
-    modulus_context = f"modulus_from_associate({gamma.name})"
+    context = f"associate_apply({gamma.name})"
     return Functional(
-        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), apply_context, trie)[0],
-        modulus=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), modulus_context, trie)[1],
+        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), context, trie)[0],
         name=f"fn({gamma.name})",
     )
 

@@ -26,6 +26,7 @@ from gandyhyland import (
     herbrand_trace,
     make_session,
     replay_check,
+    settled,
 )
 from gandyhyland.errors import ArityError, ParseError
 from gandyhyland.cli.dsl import (
@@ -141,10 +142,16 @@ def test_eval_semantics():
     assert functional_from_ast(parse_spec("least(0,f(0))")).apply(zeros) == 0
 
 
-@given(_ast(), st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))
-def test_compiled_expressions_agree_with_the_oracle(tree, entries):
-    """Value, forced positions in order, and modulus, against plain
-    recursion over the tree on a cyclic point with entries at most 3."""
+@given(
+    _ast(),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=6),
+)
+def test_compiled_expressions_agree_with_the_oracle(tree, entries, k):
+    """Value and forced positions in order, against plain recursion over
+    the tree on a cyclic point with entries at most 3; and settled on the
+    point's first k entries is the value at their zero-padding exactly when
+    that evaluation reads nothing past them."""
     reads: list[int] = []
     forced: list[int] = []
 
@@ -159,20 +166,31 @@ def test_compiled_expressions_agree_with_the_oracle(tree, entries):
     y = functional_from_ast(tree)
     assert y.apply(Point(logged(forced))) == want
     assert forced == list(dict.fromkeys(reads))
-    assert y.modulus(Point(logged([]))) == max(reads, default=-1) + 1
+    prefix = tuple(entries[i % len(entries)] for i in range(k))
+    padded_reads: list[int] = []
+
+    def padded(i: int) -> int:
+        padded_reads.append(i)
+        return prefix[i] if i < k else 0
+
+    padded_value = brute_eval_ast(tree, padded)
+    covered = max(padded_reads, default=-1) < k
+    assert settled(y, FinSeq(prefix)) == (padded_value if covered else None)
 
 
 def test_expression_modulus_is_one_past_the_deepest_read():
+    # The shortest prefix that settles an expression ends one past the
+    # deepest position read at its zero-padding.
     y = functional_from_ast(parse_spec("f(f(0))"))
-    zeros = Point(lambda n: 0, name="zeros")
-    spiky = Point(lambda n: 3 if n == 0 else 0, name="3,0,0,..")
-    assert y.modulus(zeros) == 1
-    assert y.modulus(spiky) == 4
+    assert settled(y, EMPTY) is None
+    assert settled(y, FinSeq((0,))) == 0
+    assert settled(y, FinSeq((3, 0, 0))) is None
+    assert settled(y, FinSeq((3, 0, 0, 0))) == 0
     scan = functional_from_ast(parse_spec("least(3,f(0))"))
-    tail_zero = Point(lambda n: 1 if n == 0 else 0, name="1,0,0,..")
-    ones = Point(lambda n: 1, name="ones")
-    assert scan.modulus(tail_zero) == 2
-    assert scan.modulus(ones) == 3
+    assert settled(scan, FinSeq((1,))) is None
+    assert settled(scan, FinSeq((1, 0))) == 1
+    assert settled(scan, FinSeq((1, 1))) is None
+    assert settled(scan, FinSeq((1, 1, 1))) == 3
     assert y.name == "f(f(0))"
 
 

@@ -10,6 +10,8 @@ from gandyhyland import (
     FinSeq,
     Fuel,
     FuelExhausted,
+    Functional,
+    associate_from_functional,
     constant_point,
     enumerate_trees,
     fan_modulus,
@@ -89,6 +91,19 @@ def test_a_search_that_runs_dry_names_itself_and_the_functional(search, fuel, me
     with pytest.raises(FuelExhausted) as exc:
         search(expr_functional("f(2)"), Fuel(fuel))
     assert str(exc.value) == message
+
+
+def test_an_apply_only_functional_works_in_bar_search_and_as_an_associate():
+    # Continuity is read off what apply reads, so a functional given by its
+    # apply alone gives the DSL functional's values.
+    dsl = expr_functional("f(f(0))")
+    bare = Functional(apply=dsl.apply, name="bare")
+    zeros, ones, twos = constant_point(0), constant_point(1), constant_point(2)
+    for y in (dsl, bare):
+        assert fan_modulus(y, Fuel(1000)) == 2
+        assert full_fan_modulus(y, twos, Fuel(1000)) == 3
+        assert pwc_bound(y, zeros, ones, Fuel(1000)) == 1
+        assert associate_from_functional(y).query(FinSeq((0,))) == 1
 
 
 def test_special_fan_shapes():

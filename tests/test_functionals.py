@@ -25,6 +25,8 @@ from gandyhyland import (
     modulus_from_associate,
     mu,
     pad,
+    settled,
+    take,
 )
 from gandyhyland.cli.fixtures import (
     beta_point,
@@ -96,13 +98,15 @@ def test_functional_round_trips_through_its_associate():
 
 
 def test_modulus_really_is_a_modulus():
-    # any point agreeing with f below the modulus gives the same value,
-    # exhaustively over variations at the next three positions
+    # once a prefix of f settles y, f and every point agreeing with f on
+    # that prefix give the settled value, exhaustively over variations at
+    # the next three positions
     for y in catalog_functionals():
-        assert y.modulus is not None
         for f in sample_points():
-            m = y.modulus(f)
-            base = y.apply(f)
+            m = 0
+            while (base := settled(y, take(f, m))) is None:
+                m += 1
+            assert y.apply(f) == base, (y.name, f.name)
             for values in product(range(3), repeat=3):
                 overrides = {m + j: values[j] for j in range(3)}
                 g = Point(
@@ -193,8 +197,8 @@ def test_undecided_associate_exhausts_fuel():
     for _ in range(2):
         with pytest.raises(FuelExhausted, match=_dry("associate_apply", 7)):
             y.apply(constant_point(0))
-        with pytest.raises(FuelExhausted, match=_dry("modulus_from_associate", 7)):
-            y.modulus(constant_point(0))
+        with pytest.raises(FuelExhausted, match=_dry("associate_apply", 7)):
+            settled(y, EMPTY)
 
 
 class _CountingPoint(Point):
@@ -219,22 +223,27 @@ def test_scan_reads_the_point_once_per_level_walked():
         alpha = _CountingPoint(lambda n: n % 3)
         scan(gamma, alpha, fuel)
         assert alpha.reads == fuel.budget - fuel.remaining - 1 == 4
+    # The same holds for an associate-backed functional, whose trie the
+    # settled calls between its applies fill along the same path: the
+    # prefix of length 4 settles it and the one of length 3 does not.
     y = functional_from_associate(gamma, 100)
-    for op, expected in ((y.apply, 0), (y.modulus, 4), (y.apply, 0), (y.modulus, 4)):
+    for _ in range(2):
         alpha = _CountingPoint(lambda n: n % 3)
-        assert op(alpha) == expected
+        assert y.apply(alpha) == 0
         assert alpha.reads == 4
+        assert settled(y, FinSeq((0, 1, 2))) is None
+        assert settled(y, FinSeq((0, 1, 2, 0))) == 0
 
 
 _PREFIX = st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(tuple)
 _PADDED_POINT = st.tuples(_PREFIX, st.integers(min_value=0, max_value=2))
 
 
-def _outcome(scan) -> int | None:
+def _outcome(scan) -> int | str | None:
     try:
         return scan()
     except FuelExhausted:
-        return None
+        return "dry"
 
 
 @given(
@@ -258,17 +267,26 @@ def test_functional_from_associate_answers_each_prefix_once(table, calls, budget
         return decide(sigma)
 
     plain = Associate(decide, name="table")
+
+    def settled_directly(sigma: FinSeq) -> int | None:
+        alpha = pad(sigma, 0)
+        value = associate_apply(plain, alpha, Fuel(budget))
+        depth = modulus_from_associate(plain, alpha, Fuel(budget))
+        return value if depth <= len(sigma) else None
+
     y = functional_from_associate(Associate(counting, name="counted table"), budget)
-    # Every call twice, apply and modulus interleaved, so later calls walk
-    # prefixes already answered.
-    for use_modulus, (items, tail) in calls + calls[::-1]:
-        alpha = pad(FinSeq(items), tail)
-        if use_modulus:
-            op, direct = y.modulus, modulus_from_associate
+    # Every call twice, applies and settled calls interleaved, so later
+    # calls walk prefixes already answered.
+    for use_settled, (items, tail) in calls + calls[::-1]:
+        if use_settled:
+            sigma = FinSeq(items)
+            got = _outcome(lambda: settled(y, sigma))
+            expected = _outcome(lambda: settled_directly(sigma))
         else:
-            op, direct = y.apply, associate_apply
-        expected = _outcome(lambda: direct(plain, alpha, Fuel(budget)))
-        assert _outcome(lambda: op(alpha)) == expected
+            alpha = pad(FinSeq(items), tail)
+            got = _outcome(lambda: y.apply(alpha))
+            expected = _outcome(lambda: associate_apply(plain, alpha, Fuel(budget)))
+        assert got == expected
     assert all(n == 1 for n in asked.values())
 
 
