@@ -68,7 +68,11 @@ class EvalSession:
     _force) to its floor, the depth its one entry is keyed at; with
     memo_enabled off it stays empty too. _gamma holds computed gamma
     values together with the depth at which they stabilized, only while
-    certified or being certified.
+    certified or being certified. _prefix maps each stabilized sequence s
+    to its prefix levels, h at s for the depths 0 .. len(s) that stabilize
+    has read, each the leaf at s's prefix of that length. It is filled
+    only with memo_enabled on, where each of its reads stands in for a
+    memo hit.
 
     A session serves exactly one functional: mixing two would silently
     cross-contaminate the memo, so the first functional seen claims the
@@ -78,9 +82,9 @@ class EvalSession:
 
     _past_reads, _tied and _floor tell the node being forced what its
     subtree did: _past_reads counts the reads past a node's depth made in
-    its subtree, _tied the leaves and per-depth entries met there, and
-    _floor gathers the node's floor. _level and _force move them, and
-    _force reads them.
+    its subtree, _tied the pad reads of leaves and the per-depth entries
+    met there, and _floor gathers the node's floor. _level and _force move
+    them, and _force reads them.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -97,6 +101,9 @@ class EvalSession:
     _tied: int = field(default=0, init=False, repr=False)
     _floor: int = field(default=0, init=False, repr=False)
     _floors: dict[tuple[int, ...], int] = field(default_factory=dict, init=False, repr=False)
+    _prefix: dict[tuple[int, ...], list[int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def child(self) -> EvalSession:
         """Same knobs, fresh fuel and fresh tables."""
@@ -202,37 +209,47 @@ def _force(
     context, and its value must be a natural before it is written.
 
     At length depth the node is a leaf, Y at items padded with the kind's
-    pad value (one for hhat, else zero), and bumps session._tied. Shorter
-    items get a block: items, a zero, then the child at items+(j,) at
-    position len(items)+j for j = 1 .. depth (for every j in g, which does
-    not truncate), then the pad value. A child is read through _level. A
-    block read at j > depth, for every kind, bumps session._past_reads, and
-    each j read raises session._floor to at least j.
+    pad value (one for hhat, else zero); each read of the pad, at or past
+    len(items), bumps session._tied. Shorter items get a block: items, a
+    zero, then the child at items+(j,) at position len(items)+j for j = 1
+    .. depth (for every j in g, which does not truncate), then the pad
+    value. A child is read through _level. A block read at j > depth, for
+    every kind, bumps session._past_reads, and each j read raises
+    session._floor to at least j.
 
     The node is clean if _past_reads did not move while Y ran: nothing in
     its subtree read past its depth, the only place where h pads and g
     reads on. A dirty node is written at its depth under its own kind, a
     clean one under the shared key kind, so a clean h or g node serves
     both kinds (an h and a g node that disagree there are a memo
-    overwrite). A clean node is free if _tied did not move either: no leaf
-    and no per-depth entry in its subtree. A free node has one value at
-    every depth from its floor up, the largest of len(items)+1, each j it
-    read and each read child's floor, which session._floor gathers: there
-    it is still a block, every read lands on the same free child and no
-    pad is reached, whatever its kind. It is written once, under ("hg",
-    items, floor), indexed in session._floors, and passes its floor on to
-    the node that read it.
+    overwrite). A clean node is free if _tied did not move either: no pad
+    read by a leaf and no per-depth entry in its subtree. A free node has
+    one value at every depth from its floor up, which session._floor
+    gathers. A free leaf's floor is len(items): Y read items alone, which
+    the leaf and the block at items share at every depth. A free block's
+    floor is the largest of len(items)+1, each j it read and each read
+    child's floor: there it is still a block, every read lands on the same
+    free child and no pad is reached, whatever its kind. A free node is
+    written once, under ("hg", items, floor), indexed in session._floors,
+    and passes its floor on to the node that read it.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
     pad_value = 1 if kind == "hhat" else 0
     past, tied, outer = session._past_reads, session._tied, session._floor
-    session._floor = k + 1
     try:
         if k >= depth:
-            session._tied += 1
-            value = y.apply(pad(_from_trusted_tuple(items), pad_value))
+            session._floor = k
+
+            def leaf(i: int) -> int:
+                if i < k:
+                    return items[i]
+                session._tied += 1
+                return pad_value
+
+            value = y.apply(Point(leaf, lambda: f"{list(items)}*{pad_value}.."))
         else:
+            session._floor = k + 1
             truncating = kind != "g"
 
             def gen(i: int) -> int:
@@ -277,21 +294,39 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     extra levels to stop cutting into s.
 
     At every N <= len(s), g_eval is the one leaf at s, applied once before
-    the search (which also claims the session).
+    the search (which also claims the session), and h_eval is the leaf at
+    s's length-N prefix. The parent s[:-1], if stabilized, has read those
+    leaves for every N < len(s): s's list in session._prefix starts as a
+    copy of the parent's cut to len(s), and the search reads the depths it
+    holds from there and appends the next ones up to len(s). Each read it
+    skips would have been a memo hit: no node, fuel step or apply moves.
 
     The search ends at the start's floor: once s has a floor entry at or
     below n, h and g read that one entry at every depth from n up, so the
     run holding at n never breaks. It is the answer if it starts at or
     below nmax; otherwise no window can, and the search fails as a scan of
-    every depth up to nmax+window would.
+    every depth up to nmax+window would. A floor of s is at least len(s),
+    so it is looked up only from there: each lookup hashes all of s.
     """
     leaf = g_eval(y, s, 0, session)
     items = s.items
+    k = len(items)
+    levels = session._prefix.get(items[:-1], [])[:k]
+    if session.memo_enabled:
+        levels = session._prefix.setdefault(items, levels)
     run_start = 0
     last: int | None = None
     for n in range(session.nmax + session.window + 1):
-        gv = leaf if n <= len(items) else _level(y, items, n, session, "g")
-        hv = _level(y, items, n, session, "h")
+        if n > k:
+            gv = _level(y, items, n, session, "g")
+            hv = _level(y, items, n, session, "h")
+        else:
+            gv = leaf
+            if n < len(levels):
+                hv = levels[n]
+            else:
+                hv = _level(y, items, n, session, "h")
+                levels.append(hv)
         if hv != gv:
             run_start = n + 1
             last = None
@@ -299,7 +334,7 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
         if last is not None and gv != last:
             run_start = n
         last = gv
-        if n - run_start >= session.window or session._floors.get(items, n + 1) <= n:
+        if n - run_start >= session.window or (n >= k and session._floors.get(items, n + 1) <= n):
             if run_start > session.nmax:
                 break
             return run_start, gv
@@ -339,13 +374,22 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
     recurses through the children it reads, each verified once per
     session. Raises GhEquationViolated if the equation fails. A value whose
     check fails or is cut short is dropped, so asking again fails again.
+
+    A start whose leaf is free (floor len(s), see _force) certifies itself
+    and skips the check, which cannot fail there: the leaf read nothing at
+    or past len(s), so it is the stable value at every depth from len(s)
+    up, and the check's point agrees with the leaf's on every position
+    below len(s), so Y reads the same positions there and gives the same
+    value.
     """
     session.claim(y)
     entry = session._gamma.get(s.items)
     if entry is None:
         entry = session._gamma[s.items] = stabilize(y, s, session)
         try:
-            if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
+            if session._floors.get(s.items) != len(s.items) and not gh_check(
+                lambda t: gamma_eval(y, t, session), y, s
+            ):
                 raise GhEquationViolated(
                     f"{y.name} at {list(s.items)}: stable value {entry[1]} fails the equation"
                 )
@@ -407,6 +451,13 @@ def ghs_witness(
     above K. So each gamma_eval and each h_eval comparison is made once,
     and a K whose window holds a known disagreement fails at once.
 
+    A candidate's comparisons stop at its floor: once h at depth n equals
+    the stable value and the floor is at or below n, every depth above n
+    reads the same entry, so the window agrees through its top; as in
+    stabilize, the floor is looked up only from n = len(s) on. Depths up
+    to len(s) are read from the candidate's list of prefix levels (see
+    stabilize), which gamma_eval has filled.
+
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
     is raised before any listing; counting stops once it does, and spends
@@ -423,6 +474,7 @@ def ghs_witness(
             )
     session.claim(y)
     window = session.window
+    floors, prefix = session._floors, session._prefix
     known: dict[tuple[int, ...], list] = {}
     candidates: dict[int, list[list]] = {}
     for k0 in range(session.nmax + 1):
@@ -440,9 +492,14 @@ def ghs_witness(
                     break
                 if value is None:
                     value = state[1] = gamma_eval(y, s, session)
+                items = s.items
+                levels = prefix.get(items, ())
                 n = max(n, k0)
-                while n <= top and _level(y, s.items, n, session, "h") == value:
-                    n += 1
+                while n <= top:
+                    hv = levels[n] if n < len(levels) else _level(y, items, n, session, "h")
+                    if hv != value:
+                        break
+                    n = top + 1 if n >= len(items) and floors.get(items, n + 1) <= n else n + 1
                 if n <= top:
                     state[2:] = n + 1, n
                     break
@@ -548,8 +605,9 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
             f"more than the fuel budget of {fresh.fuel.budget} steps"
         )
     # Memo hits only: the stabilization search visited every depth in this
-    # range below the start's floor, and every depth above it reads the
-    # floor entry, so reading the values back consumes no new probes.
+    # range below the start's floor, those up to the start's length as the
+    # leaves of its prefixes, and every depth above it reads the floor
+    # entry, so reading the values back consumes no new probes.
     trajectory = _trajectory(wrapped, s, fresh, rows)
     return HerbrandWitness(
         probes={"apply": list(recorder.table.items())},
