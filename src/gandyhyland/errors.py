@@ -1,8 +1,9 @@
 """Error taxonomy shared by every layer of the package.
 
-Each exception carries a human-readable message; a few carry structured
-fields that callers inspect (parse positions, fuel context). The CLI maps
-these onto process exit codes, see gandyhyland.cli.main.
+Each exception carries a human-readable message; ParseError (with its
+ArityError) also carries the parse position as fields that callers
+inspect. The CLI maps these onto process exit codes, see
+gandyhyland.cli.main.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ out, so everything goes through depth-bounded approximations:
 * g_eval cuts off by applying Y to the zero-padded sequence itself once
   the sequence is at least N long, with no truncation.
 
-Depth-invariance is rendered as stabilization: the least N0 at which
-g_eval stays constant across a window of consecutive depths. gamma_eval
-returns the stable value and then checks the fixed-point equation at it.
+Depth-invariance is rendered as stabilization: the least N0 from which
+h_eval and g_eval agree and stay constant across a window of consecutive
+depths, a search that ends at the start's floor. gamma_eval returns the
+stable value and then checks the fixed-point equation at it.
 
 Recursive occurrences inside an application are provided as lazily
 evaluated points: Y only forces the child values it actually reads, which
@@ -80,11 +81,12 @@ class EvalSession:
     of node, the text a FuelExhausted raised at that node names, so it is
     formatted once.
 
-    _past_reads, _tied and _floor tell the node being forced what its
-    subtree did: _past_reads counts the reads past a node's depth made in
-    its subtree, _tied the pad reads of leaves and the per-depth entries
-    met there, and _floor gathers the node's floor. _level and _force move
-    them, and _force reads them.
+    _floor tells the node being forced, at depth d, what its subtree did
+    (every node forced under one outermost read has that read's depth). A
+    value at most d is a free floor: the node holds at every depth from
+    there up, for every kind. d + 1 says it holds at d only, for h and g
+    alike; d + 2 that it holds at d only, for its own kind. _level and
+    _force raise it, and _force reads it.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -97,8 +99,6 @@ class EvalSession:
     )
     _owner: Functional | None = field(default=None, init=False, repr=False)
     _contexts: dict[str, str] = field(default_factory=dict, init=False, repr=False)
-    _past_reads: int = field(default=0, init=False, repr=False)
-    _tied: int = field(default=0, init=False, repr=False)
     _floor: int = field(default=0, init=False, repr=False)
     _floors: dict[tuple[int, ...], int] = field(default_factory=dict, init=False, repr=False)
     _prefix: dict[tuple[int, ...], list[int]] = field(
@@ -118,6 +118,7 @@ class EvalSession:
             self._owner = y
             self._contexts = {kind: f"{kind}_eval({y.name})" for kind in ("h", "hhat", "g")}
 
+    # No caller in the package: kept only while perfbench/tracer.py patches it.
     def memo_get(self, key: MemoKey) -> int | None:
         return self._values.get(key)
 
@@ -154,28 +155,25 @@ def _level(
     long is evaluated at its own zero-padding whatever n is, so its depth
     rises to len(items).
 
-    A hit tells the node being forced, if any, what its subtree did: a
-    floor hit raises session._floor to that floor, a per-depth hit bumps
-    session._tied, and a kind-keyed (dirty) hit bumps session._past_reads
-    as well. A miss leaves the bookkeeping to _force.
+    A hit raises session._floor to the entry's mark (see EvalSession): a
+    floor hit to its floor, a shared-key hit to n + 1, an own-kind hit to
+    n + 2. A miss leaves the bookkeeping to _force.
     """
     if kind == "g":
         n = max(n, len(items))
     else:
         items = items[:n]
     memo = session._values
-    floor = session._floors.get(items)
-    if floor is not None and floor <= n:
-        if floor > session._floor:
-            session._floor = floor
-        return memo[("hg", items, floor)]
-    value = memo.get((_SHARED[kind], items, n))
-    if value is None:
-        value = memo.get((kind, items, n))
-        if value is None:
-            return _force(y, items, n, session, kind)
-        session._past_reads += 1
-    session._tied += 1
+    if (mark := session._floors.get(items, n + 1)) <= n:
+        value = memo[("hg", items, mark)]
+    elif (value := memo.get((_SHARED[kind], items, n))) is not None:
+        mark = n + 1
+    elif (value := memo.get((kind, items, n))) is not None:
+        mark = n + 2
+    else:
+        return _force(y, items, n, session, kind)
+    if mark > session._floor:
+        session._floor = mark
     return value
 
 
@@ -209,34 +207,30 @@ def _force(
     context, and its value must be a natural before it is written.
 
     At length depth the node is a leaf, Y at items padded with the kind's
-    pad value (one for hhat, else zero); each read of the pad, at or past
-    len(items), bumps session._tied. Shorter items get a block: items, a
+    pad value (one for hhat, else zero). Shorter items get a block: items, a
     zero, then the child at items+(j,) at position len(items)+j for j = 1
     .. depth (for every j in g, which does not truncate), then the pad
-    value. A child is read through _level. A block read at j > depth, for
-    every kind, bumps session._past_reads, and each j read raises
-    session._floor to at least j.
+    value. A child is read through _level.
 
-    The node is clean if _past_reads did not move while Y ran: nothing in
-    its subtree read past its depth, the only place where h pads and g
-    reads on. A dirty node is written at its depth under its own kind, a
-    clean one under the shared key kind, so a clean h or g node serves
-    both kinds (an h and a g node that disagree there are a memo
-    overwrite). A clean node is free if _tied did not move either: no pad
-    read by a leaf and no per-depth entry in its subtree. A free node has
-    one value at every depth from its floor up, which session._floor
-    gathers. A free leaf's floor is len(items): Y read items alone, which
-    the leaf and the block at items share at every depth. A free block's
-    floor is the largest of len(items)+1, each j it read and each read
-    child's floor: there it is still a block, every read lands on the same
-    free child and no pad is reached, whatever its kind. A free node is
-    written once, under ("hg", items, floor), indexed in session._floors,
-    and passes its floor on to the node that read it.
+    session._floor gathers the node's mark (see EvalSession). A leaf starts
+    at len(items): Y read items alone, which the leaf and the block at
+    items share at every depth. A block starts at len(items)+1, and each j
+    it reads raises the mark to at least j: from there up it is still a
+    block whose reads land on the same children. A leaf's pad read marks
+    depth + 1, since past depth the node is a block; a block's read at
+    j > depth marks depth + 2, the only place where h pads and g reads on.
+    A node marked depth + 2 is written at its depth under its own kind, one
+    marked depth + 1 under the shared key kind, so it serves h and g alike
+    (an h and a g node that disagree there are a memo overwrite). Any other
+    node is free: one value at every depth from its floor up, whatever its
+    kind. It is written once, under ("hg", items, floor), and indexed in
+    session._floors. Every node passes its mark on to its reader, where
+    the largest mark wins.
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
     pad_value = 1 if kind == "hhat" else 0
-    past, tied, outer = session._past_reads, session._tied, session._floor
+    outer = session._floor
     try:
         if k >= depth:
             session._floor = k
@@ -244,7 +238,7 @@ def _force(
             def leaf(i: int) -> int:
                 if i < k:
                     return items[i]
-                session._tied += 1
+                session._floor = depth + 1
                 return pad_value
 
             value = y.apply(Point(leaf, lambda: f"{list(items)}*{pad_value}.."))
@@ -259,7 +253,7 @@ def _force(
                     return 0
                 j = i - k
                 if j > depth:
-                    session._past_reads += 1
+                    session._floor = depth + 2
                     if truncating:
                         return pad_value
                 elif j > session._floor:
@@ -271,16 +265,16 @@ def _force(
         floor, session._floor = session._floor, outer
     if not isinstance(value, int) or value < 0:
         raise ValueError(f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}")
-    if session._past_reads != past:
+    if floor > depth + 1:
         session.memo_put((kind, items, depth), value)
-    elif session._tied != tied:
+    elif floor > depth:
         session.memo_put((_SHARED[kind], items, depth), value)
     else:
         session.memo_put(("hg", items, floor), value)
         if session.memo_enabled:
             session._floors[items] = floor
-        if floor > outer:
-            session._floor = floor
+    if floor > outer:
+        session._floor = floor
     return value
 
 
@@ -305,8 +299,9 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     below n, h and g read that one entry at every depth from n up, so the
     run holding at n never breaks. It is the answer if it starts at or
     below nmax; otherwise no window can, and the search fails as a scan of
-    every depth up to nmax+window would. A floor of s is at least len(s),
-    so it is looked up only from there: each lookup hashes all of s.
+    every depth up to nmax+window would. A start with no floor entry reads
+    as n + 1, not free at n (see EvalSession). A floor of s is at least
+    len(s), so it is looked up only from there: each lookup hashes all of s.
     """
     leaf = g_eval(y, s, 0, session)
     items = s.items

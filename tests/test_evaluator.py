@@ -523,6 +523,16 @@ def test_memo_is_observationally_transparent():
             assert gamma_eval(y1, s, with_memo) == gamma_eval(y2, s, without), (name, s.items)
 
 
+def test_memo_marks_hold_at_any_depth():
+    # At depth 2**64 the block at [1] reads a child past its depth and one
+    # below it, both beyond 2**63: h pads the first, g reads it, so the
+    # node holds for its own kind only, however large the depth.
+    y = expr_functional("ifz(f(1), f(18446744073709551626)+f(9223372036854775818), 3)")
+    start, depth = FinSeq((1,)), 2**64
+    for session in (make_session(), make_session(memo_enabled=False)):
+        assert [h_eval(y, start, depth, session), g_eval(y, start, depth, session)] == [3, 6]
+
+
 # Expressions that probe only literal positions: the recursion they start
 # stays a few levels deep, so memo-free evaluation finishes quickly.
 _SHALLOW_AST = st.recursive(
