@@ -397,10 +397,11 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
 # Bounded verification that one depth works uniformly near a point.
 
 def _ghs_candidates(
-    alpha: Point, m: int, value_cap: int, tail_cap: int
+    alpha: Point, m: int, value_cap: int, tail_cap: int, floors: dict[tuple[int, ...], int]
 ) -> list[FinSeq]:
     """Sequences whose zero-padding agrees with alpha on the first m values
-    and whose entries are all at most value_cap.
+    and whose entries are all at most value_cap, up to the first whose
+    leaf floors shows free.
 
     Exactly the prefixes of alpha whose dropped part of the first m values
     is zero, then the length-m prefix extended by every tail of length 1 to
@@ -408,6 +409,10 @@ def _ghs_candidates(
     up to m, and the extensions are longer than m and distinct by tail.
     Every candidate starts with alpha's first m values, read once here; if
     one of them exceeds value_cap, there is no candidate.
+
+    Every later candidate extends each prefix listed before it, so the
+    listing stops at the first prefix p whose leaf is free, floors[p] ==
+    len(p): the rest pass exactly where p passes (see ghs_witness).
     """
     head = take(alpha, m).items
     if any(x > value_cap for x in head):
@@ -415,14 +420,17 @@ def _ghs_candidates(
     kept = m
     while kept and not head[kept - 1]:
         kept -= 1
+    row = []
+    for j in range(kept, m + 1):
+        row.append(_from_trusted_tuple(head[:j]))
+        if floors.get(head[:j]) == j:
+            return row
     tails = (
         tail
         for tlen in range(1, tail_cap + 1)
         for tail in product(range(value_cap + 1), repeat=tlen)
     )
-    return [_from_trusted_tuple(head[:j]) for j in range(kept, m + 1)] + [
-        _from_trusted_tuple(head + tail) for tail in tails
-    ]
+    return row + [_from_trusted_tuple(head + tail) for tail in tails]
 
 
 def ghs_witness(
@@ -453,6 +461,18 @@ def ghs_witness(
     to len(s) are read from the candidate's list of prefix levels (see
     stabilize), which gamma_eval has filled.
 
+    A candidate t that extends a candidate p whose leaf is free (floor
+    len(p), see _force) passes exactly where p passes. Y at t's leaf, and at
+    t's block at any depth, agrees with p's zero-padding below len(p), so
+    it reads what p's leaf read and gives p's value v at every depth from
+    len(p) up; below, h at t is the leaf at t's prefix, which is p's. So t
+    has p's stable value and p's h at every depth, and its gamma_eval
+    raises only where p's does: being free, it skips the equation check.
+    In a row the parent of every candidate but the first is listed before
+    it, so a candidate other than the first whose parent is free is
+    skipped, and _ghs_candidates ends a row at its first free prefix. With
+    memo_enabled off there are no floors, and every candidate is compared.
+
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
     is raised before any listing; counting stops once it does, and spends
@@ -479,15 +499,17 @@ def ghs_witness(
             if row is None:
                 row = candidates[m] = [
                     known.setdefault(s.items, [s, None, 0, -1])
-                    for s in _ghs_candidates(alpha, m, value_cap, tail_cap)
+                    for s in _ghs_candidates(alpha, m, value_cap, tail_cap, floors)
                 ]
-            for state in row:
+            for i, state in enumerate(row):
                 s, value, n, bad = state
                 if bad >= k0:
                     break
+                items = s.items
+                if i and floors.get(items[:-1]) == len(items) - 1:
+                    continue
                 if value is None:
                     value = state[1] = gamma_eval(y, s, session)
-                items = s.items
                 levels = prefix.get(items, ())
                 n = max(n, k0)
                 while n <= top:

@@ -215,7 +215,7 @@ def test_ghs_candidates_are_each_capped_sequence_agreeing_with_alpha_once(
     values, m, value_cap, tail_cap
 ):
     alpha = pad(FinSeq(tuple(values)), 0)
-    got = [s.items for s in _ghs_candidates(alpha, m, value_cap, tail_cap)]
+    got = [s.items for s in _ghs_candidates(alpha, m, value_cap, tail_cap, {})]
     assert len(got) == len(set(got))
     # Every sequence up to m + tail_cap long, entries capped, whose
     # zero-padding agrees with alpha on the first m values.
@@ -718,6 +718,49 @@ def test_settled_leaves_and_inherited_levels_are_observationally_transparent(
     )
 
 
+@settings(deadline=None)
+# At zeros, flag-gamma[2] leaves prefixes whose floor lies above their
+# length: such a prefix is not free, and taking it as free, in the listing
+# or in the skip, passes a K below the least uniform depth.
+@example(y=functional_fixture("flag-gamma", m0=2), window=1, periods=[[0]])
+@given(
+    y=st.builds(
+        functional_fixture,
+        st.sampled_from(["flag-gamma", "flag-epsilon"]),
+        m0=st.integers(min_value=1, max_value=3),
+    )
+    | _SHALLOW_AST.map(functional_from_ast),
+    window=st.sampled_from([1, 2, 4, 6]),
+    periods=st.lists(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_candidates_extending_a_free_leaf_are_observationally_transparent(y, window, periods):
+    # With the memo, ghs_witness skips a candidate whose parent leaf is free
+    # and ends a row's listing at its first free prefix: every candidate
+    # extending a free leaf passes exactly where that leaf passes. Memo-free
+    # sessions prune nothing, so they check both from outside, whatever
+    # floors the earlier points left in the one memo session.
+    with_memo = make_session(window=window)
+
+    def outcome(session: EvalSession, alpha: Point, value_cap: int):
+        try:
+            return ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=2)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    for period in periods:
+        alpha = Point(lambda i, p=period: p[i % len(p)], name=f"periodic {period}")
+        for value_cap in (1, 2):
+            without = make_session(window=window, memo_enabled=False)
+            assert outcome(with_memo, alpha, value_cap) == outcome(without, alpha, value_cap), (
+                period,
+                value_cap,
+            )
+
+
 def test_a_settled_start_certifies_itself():
     # f(0)+f(1) reads nothing past (0, 2): its leaf there is free with
     # floor 2, so the search reads no block at depth 3 and the equation
@@ -820,23 +863,24 @@ def test_ghs_witness_work_counts_are_frozen():
     y = functional_from_associate(flag_associate("flag-gamma", 5))
     session = make_session(fuel_steps=2_000_000, window=6)
     assert ghs_witness(y, constant_point(0, name="zeros"), session) == 6
-    assert _work(session) == (1613, 1613)
+    assert _work(session) == (1497, 1497)
 
 
 @pytest.mark.parametrize(
     "name, m0, point, work",
     [
-        ("flag-gamma", 3, 1, (247, 247)),
-        ("flag-gamma", 5, 1, (1615, 1615)),
-        ("proj2", 3, 2, (170, 170)),
-        ("sum01", 3, 1, (123, 123)),
-        ("nest", 3, 0, (137, 137)),
+        ("flag-gamma", 3, 1, (158, 158)),
+        ("flag-gamma", 5, 1, (1526, 1526)),
+        ("proj2", 3, 2, (97, 97)),
+        ("sum01", 3, 1, (34, 34)),
+        ("nest", 3, 0, (21, 21)),
     ],
 )
 def test_uniform_depth_work_counts_are_frozen(name, m0, point, work):
     # The cases of test_uniform_depth_frozen_values: each candidate's
     # stable value and each (candidate, depth) comparison costs its nodes
-    # once, and no depth below the window is ever compared.
+    # once, no depth below the window is ever compared, and a candidate
+    # extending a free leaf listed before it costs nothing.
     session = make_session(fuel_steps=2_000_000, window=6)
     ghs_witness(functional_fixture(name, m0=m0), constant_point(point), session)
     assert _work(session) == work
