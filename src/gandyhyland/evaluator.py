@@ -396,43 +396,6 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
 
 # Bounded verification that one depth works uniformly near a point.
 
-def _ghs_candidates(
-    alpha: Point, m: int, value_cap: int, tail_cap: int, floors: dict[tuple[int, ...], int]
-) -> list[FinSeq]:
-    """Sequences whose zero-padding agrees with alpha on the first m values
-    and whose entries are all at most value_cap, up to the first whose
-    leaf floors shows free.
-
-    Exactly the prefixes of alpha whose dropped part of the first m values
-    is zero, then the length-m prefix extended by every tail of length 1 to
-    tail_cap. No sequence comes twice: the prefixes have distinct lengths
-    up to m, and the extensions are longer than m and distinct by tail.
-    Every candidate starts with alpha's first m values, read once here; if
-    one of them exceeds value_cap, there is no candidate.
-
-    Every later candidate extends each prefix listed before it, so the
-    listing stops at the first prefix p whose leaf is free, floors[p] ==
-    len(p): the rest pass exactly where p passes (see ghs_witness).
-    """
-    head = take(alpha, m).items
-    if any(x > value_cap for x in head):
-        return []
-    kept = m
-    while kept and not head[kept - 1]:
-        kept -= 1
-    row = []
-    for j in range(kept, m + 1):
-        row.append(_from_trusted_tuple(head[:j]))
-        if floors.get(head[:j]) == j:
-            return row
-    tails = (
-        tail
-        for tlen in range(1, tail_cap + 1)
-        for tail in product(range(value_cap + 1), repeat=tlen)
-    )
-    return row + [_from_trusted_tuple(head + tail) for tail in tails]
-
-
 def ghs_witness(
     y: Functional,
     alpha: Point,
@@ -444,15 +407,22 @@ def ghs_witness(
     approximation already equals the stable value on every candidate
     sequence compatible with alpha's first values.
 
-    Candidates are bounded (entry cap, tail cap); StabilizationFailed if
-    no K at or below nmax passes. K is tried upwards, and at each K the
-    candidates of m = K .. K+window in order, stopping at the first that
-    disagrees somewhere in the window. Each candidate keeps [sequence,
-    stable value, next depth to compare, first disagreeing depth found or -1],
-    shared by every m that lists it: all depths from K up to the next one
-    were compared, and agree except the disagreeing one if that is at or
-    above K. So each gamma_eval and each h_eval comparison is made once,
-    and a K whose window holds a known disagreement fails at once.
+    Row m holds the candidates whose zero-padding agrees with alpha's first
+    m values and whose entries are at most value_cap: alpha's prefixes whose
+    dropped part of those values is zero, shortest first, then the length-m
+    prefix extended by every tail of length 1 to tail_cap. Rows are built in
+    order of m when the search first reaches them, each from the values the
+    last one read and alpha's value at m - 1.
+
+    StabilizationFailed if no K at or below nmax passes. K is tried
+    upwards, and at each K the rows m = K .. K+window in order, stopping at
+    the first candidate that disagrees somewhere in the window. Each
+    candidate keeps [items, stable value, next depth to compare, first
+    disagreeing depth found or -1], shared by every row that lists it: all
+    depths from K up to the next one were compared, and agree except the
+    disagreeing one if that is at or above K. So each gamma_eval and each
+    h_eval comparison is made once, and a K whose window holds a known
+    disagreement fails at once.
 
     A candidate's comparisons stop at its floor: once h at depth n equals
     the stable value and the floor is at or below n, every depth above n
@@ -461,17 +431,20 @@ def ghs_witness(
     to len(s) are read from the candidate's list of prefix levels (see
     stabilize), which gamma_eval has filled.
 
-    A candidate t that extends a candidate p whose leaf is free (floor
-    len(p), see _force) passes exactly where p passes. Y at t's leaf, and at
-    t's block at any depth, agrees with p's zero-padding below len(p), so
-    it reads what p's leaf read and gives p's value v at every depth from
-    len(p) up; below, h at t is the leaf at t's prefix, which is p's. So t
-    has p's stable value and p's h at every depth, and its gamma_eval
-    raises only where p's does: being free, it skips the equation check.
-    In a row the parent of every candidate but the first is listed before
-    it, so a candidate other than the first whose parent is free is
-    skipped, and _ghs_candidates ends a row at its first free prefix. With
-    memo_enabled off there are no floors, and every candidate is compared.
+    One rule skips work: a candidate is skipped when its parent (its items
+    less the last) is a free leaf, floors[p] == len(p) (see _force), or was
+    skipped itself. A skipped t so extends a free leaf p, and passes exactly
+    where p passes: Y at t's leaf, and at t's block at any depth, agrees
+    with p's zero-padding below len(p), so it reads what p's leaf read and
+    gives p's value v from depth len(p) up; below, h at t is the leaf at
+    t's prefix, which is p's; and t's gamma_eval, being free, raises only
+    where p's does. p itself is checked for the same K: it is listed before
+    t in t's row, or it is alpha's prefix of a length j below the row's
+    first candidate, listed (or a free prefix of it) in row j if j >= K,
+    and agreeing throughout the window if j < K, as its g is v at every
+    depth. A row's later candidates extend each prefix listed before them,
+    so its listing ends at its first free prefix. With memo_enabled off
+    there are no floors, and nothing is skipped.
 
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
@@ -490,26 +463,44 @@ def ghs_witness(
     session.claim(y)
     window = session.window
     floors, prefix = session._floors, session._prefix
+    tails = [
+        tail
+        for tlen in range(1, tail_cap + 1)
+        for tail in product(range(value_cap + 1), repeat=tlen)
+    ]
     known: dict[tuple[int, ...], list] = {}
-    candidates: dict[int, list[list]] = {}
+    skipped: set[tuple[int, ...]] = set()
+    rows: list[list[list]] = []
+    head: list[int] = []
+    kept, capped = 0, False
     for k0 in range(session.nmax + 1):
         top = k0 + window
         for m in range(k0, top + 1):
-            row = candidates.get(m)
-            if row is None:
-                row = candidates[m] = [
-                    known.setdefault(s.items, [s, None, 0, -1])
-                    for s in _ghs_candidates(alpha, m, value_cap, tail_cap, floors)
-                ]
-            for i, state in enumerate(row):
-                s, value, n, bad = state
+            if m == len(rows):
+                if m:
+                    v = alpha.value_at(m - 1)
+                    head.append(v)
+                    kept = m if v else kept
+                    capped = capped or v > value_cap
+                row = []
+                if not capped:
+                    for j in range(kept, m + 1):
+                        row.append(items := tuple(head[:j]))
+                        if floors.get(items) == j:
+                            break
+                    else:
+                        row += [items + tail for tail in tails]
+                rows.append([known.setdefault(t, [t, None, 0, -1]) for t in row])
+            for state in rows[m]:
+                items, value, n, bad = state
                 if bad >= k0:
                     break
-                items = s.items
-                if i and floors.get(items[:-1]) == len(items) - 1:
+                parent = items[:-1]
+                if parent in skipped or floors.get(parent) == len(parent):
+                    skipped.add(items)
                     continue
                 if value is None:
-                    value = state[1] = gamma_eval(y, s, session)
+                    value = state[1] = gamma_eval(y, _from_trusted_tuple(items), session)
                 levels = prefix.get(items, ())
                 n = max(n, k0)
                 while n <= top:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import count, product
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +43,6 @@ from gandyhyland import (
     mu,
     mu_from_gh_ext,
     mu_from_modulus,
-    pad,
     replay_check,
     stabilize,
 )
@@ -56,7 +55,7 @@ from gandyhyland.cli.fixtures import (
     functional_fixture,
 )
 from gandyhyland.cli.main import read_trace, write_trace
-from gandyhyland.evaluator import _ghs_candidates, _level, _stub_operation
+from gandyhyland.evaluator import _level, _stub_operation
 from oracles import (
     CERTIFIED_H2_MODULI,
     CERTIFIED_PROJ2_EMPTY_H1,
@@ -203,28 +202,6 @@ def test_uniform_depth_is_a_sampling_modulus():
                         name=f"{f.name}[{pos}:={val}]",
                     )
                     assert y.apply(varied) == base, (name, f.name, pos, val)
-
-
-@given(
-    values=st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
-    m=st.integers(min_value=0, max_value=4),
-    value_cap=st.integers(min_value=0, max_value=2),
-    tail_cap=st.integers(min_value=0, max_value=2),
-)
-def test_ghs_candidates_are_each_capped_sequence_agreeing_with_alpha_once(
-    values, m, value_cap, tail_cap
-):
-    alpha = pad(FinSeq(tuple(values)), 0)
-    got = [s.items for s in _ghs_candidates(alpha, m, value_cap, tail_cap, {})]
-    assert len(got) == len(set(got))
-    # Every sequence up to m + tail_cap long, entries capped, whose
-    # zero-padding agrees with alpha on the first m values.
-    assert set(got) == {
-        items
-        for length in range(m + tail_cap + 1)
-        for items in product(range(value_cap + 1), repeat=length)
-        if all((items[i] if i < length else 0) == values[i] for i in range(m))
-    }
 
 
 def test_modulus_routes_agree():
@@ -718,11 +695,15 @@ def test_settled_leaves_and_inherited_levels_are_observationally_transparent(
     )
 
 
+def _digits(min_size: int):
+    return st.lists(st.integers(min_value=0, max_value=2), min_size=min_size, max_size=3)
+
+
 @settings(deadline=None)
 # At zeros, flag-gamma[2] leaves prefixes whose floor lies above their
 # length: such a prefix is not free, and taking it as free, in the listing
 # or in the skip, passes a K below the least uniform depth.
-@example(y=functional_fixture("flag-gamma", m0=2), window=1, periods=[[0]])
+@example(y=functional_fixture("flag-gamma", m0=2), window=1, alphas=[([], [0])], tail_cap=2)
 @given(
     y=st.builds(
         functional_fixture,
@@ -731,34 +712,57 @@ def test_settled_leaves_and_inherited_levels_are_observationally_transparent(
     )
     | _SHALLOW_AST.map(functional_from_ast),
     window=st.sampled_from([1, 2, 4, 6]),
-    periods=st.lists(
-        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
-        min_size=1,
-        max_size=3,
-    ),
+    alphas=st.lists(st.tuples(_digits(0), _digits(1)), min_size=1, max_size=3),
+    tail_cap=st.sampled_from([2, 3]),
 )
-def test_candidates_extending_a_free_leaf_are_observationally_transparent(y, window, periods):
-    # With the memo, ghs_witness skips a candidate whose parent leaf is free
-    # and ends a row's listing at its first free prefix: every candidate
-    # extending a free leaf passes exactly where that leaf passes. Memo-free
-    # sessions prune nothing, so they check both from outside, whatever
-    # floors the earlier points left in the one memo session.
+def test_candidates_extending_a_free_leaf_are_observationally_transparent(
+    y, window, alphas, tail_cap
+):
+    # With the memo, ghs_witness skips a candidate whose parent is a free
+    # leaf or was skipped, and ends a row's listing at its first free
+    # prefix: every candidate extending a free leaf passes exactly where
+    # that leaf passes. Memo-free sessions prune nothing, so they check both
+    # from outside, whatever floors the earlier points left in the one memo
+    # session. A prefix before the period lets a row's first candidate have
+    # a free parent; tails of 3 make skipped chains two steps deep.
     with_memo = make_session(window=window)
 
     def outcome(session: EvalSession, alpha: Point, value_cap: int):
         try:
-            return ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=2)
+            return ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=tail_cap)
         except Exception as exc:
             return type(exc), str(exc)
 
-    for period in periods:
-        alpha = Point(lambda i, p=period: p[i % len(p)], name=f"periodic {period}")
+    for prefix, period in alphas:
+        alpha = Point(
+            lambda i, a=prefix, p=period: a[i] if i < len(a) else p[(i - len(a)) % len(p)],
+            name=f"{prefix} then periodic {period}",
+        )
         for value_cap in (1, 2):
             without = make_session(window=window, memo_enabled=False)
             assert outcome(with_memo, alpha, value_cap) == outcome(without, alpha, value_cap), (
+                prefix,
                 period,
                 value_cap,
             )
+
+
+def test_ghs_reads_each_value_of_alpha_once():
+    # Row m is row m-1's values and alpha's value at m-1, so a witness K
+    # reads alpha's first K + window values, each once, however wide the
+    # window.
+    reads = 0
+
+    class Counting(Point):
+        def value_at(self, n: int) -> int:
+            nonlocal reads
+            reads += 1
+            return super().value_at(n)
+
+    session = make_session(window=200)
+    k = ghs_witness(functional_fixture("proj2"), Counting(lambda _n: 0, "zeros"), session)
+    assert k == 3
+    assert reads <= k + session.window + 1
 
 
 def test_a_settled_start_certifies_itself():
@@ -809,26 +813,32 @@ def _reach(tree) -> int:
 @settings(deadline=None)
 # At zeros, K = 0 finds the candidate (0, 1) agreeing at depths 0 and 1
 # but not at 2, so K = 1 must fail on it too without comparing again.
-@example(tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"), period=[0])
+@example(
+    tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"), period=[0], value_cap=1, tail_cap=1
+)
 @given(
     tree=_SHALLOW_AST,
     period=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+    value_cap=st.integers(min_value=0, max_value=1),
+    tail_cap=st.integers(min_value=0, max_value=2),
 )
-def test_ghs_witness_is_the_least_uniform_depth(tree, period):
+def test_ghs_witness_is_the_least_uniform_depth(tree, period, value_cap, tail_cap):
     # From depth _reach on, both approximations are exact, so a window and
     # an nmax that wide make every stabilization land on the true value and
     # some K at or below nmax pass: neither side can fail. A narrower
     # window lets stabilization settle on a short false plateau, which the
     # equation check rejects while the oracle still has an answer.
     # A memo-free session reads nothing back, so it checks the level reads
-    # in stabilize and ghs_witness from outside.
+    # in stabilize and ghs_witness from outside. The brute lists every
+    # capped sequence agreeing with alpha, so it checks the rows too.
     reach = _reach(tree)
     y = functional_from_ast(tree)
     alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
-    expected = brute_ghs_witness(y, alpha, reach, reach, value_cap=1, tail_cap=1)
+    expected = brute_ghs_witness(y, alpha, reach, reach, value_cap, tail_cap)
     for memo_enabled in (True, False):
         session = make_session(window=reach, nmax=reach, memo_enabled=memo_enabled)
-        assert ghs_witness(y, alpha, session, value_cap=1, tail_cap=1) == expected, memo_enabled
+        got = ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=tail_cap)
+        assert got == expected, memo_enabled
 
 
 def test_memo_is_write_once():
@@ -869,10 +879,10 @@ def test_ghs_witness_work_counts_are_frozen():
 @pytest.mark.parametrize(
     "name, m0, point, work",
     [
-        ("flag-gamma", 3, 1, (158, 158)),
-        ("flag-gamma", 5, 1, (1526, 1526)),
-        ("proj2", 3, 2, (97, 97)),
-        ("sum01", 3, 1, (34, 34)),
+        ("flag-gamma", 3, 1, (131, 131)),
+        ("flag-gamma", 5, 1, (1499, 1499)),
+        ("proj2", 3, 2, (54, 54)),
+        ("sum01", 3, 1, (7, 7)),
         ("nest", 3, 0, (21, 21)),
     ],
 )
@@ -880,7 +890,8 @@ def test_uniform_depth_work_counts_are_frozen(name, m0, point, work):
     # The cases of test_uniform_depth_frozen_values: each candidate's
     # stable value and each (candidate, depth) comparison costs its nodes
     # once, no depth below the window is ever compared, and a candidate
-    # extending a free leaf listed before it costs nothing.
+    # whose parent is a free leaf, or was skipped itself, costs nothing,
+    # the first of a row included.
     session = make_session(fuel_steps=2_000_000, window=6)
     ghs_witness(functional_fixture(name, m0=m0), constant_point(point), session)
     assert _work(session) == work
