@@ -16,7 +16,10 @@ out, so everything goes through depth-bounded approximations:
 Depth-invariance is rendered as stabilization: the least N0 from which
 h_eval and g_eval agree and stay constant across a window of consecutive
 depths, a search that ends at the start's floor. gamma_eval returns the
-stable value and then checks the fixed-point equation at it.
+stable value and then checks the fixed-point equation at it, unless the
+search ended on a free node: a free value holds at every depth from its
+floor up, so it is the approximation at any nonstandard depth, which is
+the value itself, and the check is skipped.
 
 Recursive occurrences inside an application are provided as lazily
 evaluated points: Y only forces the child values it actually reads, which
@@ -86,7 +89,9 @@ class EvalSession:
     value at most d is a free floor: the node holds at every depth from
     there up, for every kind. d + 1 says it holds at d only, for h and g
     alike; d + 2 that it holds at d only, for its own kind. _level and
-    _force raise it, and _force reads it.
+    _force raise it. _force reads it, and so does the settling search (see
+    stabilize), which zeroes it before a level read at the top and takes
+    what it holds after as that read's mark.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -295,17 +300,27 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     holds from there and appends the next ones up to len(s). Each read it
     skips would have been a memo hit: no node, fuel step or apply moves.
 
-    The search ends at the start's floor: once s has a floor entry at or
-    below n, h and g read that one entry at every depth from n up, so the
-    run holding at n never breaks. It is the answer if it starts at or
-    below nmax; otherwise no window can, and the search fails as a scan of
-    every depth up to nmax+window would. A start with no floor entry reads
-    as n + 1, not free at n (see EvalSession). A floor of s is at least
-    len(s), so it is looked up only from there: each lookup hashes all of s.
+    The search ends at the start's floor: once the node at s read at a
+    depth n >= len(s) is free, its mark (session._floor after the read,
+    see EvalSession) being at most n, h and g take its one value at every
+    depth from n up, so the run holding at n never breaks. At n = len(s)
+    that node is the leaf at s, read before the search. The run is the
+    answer if it starts at or below nmax; otherwise no window can, and the
+    search fails as a scan of every depth up to nmax+window would. The
+    mark is the read's own, with the memo on or off, so both end at the
+    same depth.
     """
+    return _settle(y, s, session)[:2]
+
+
+def _settle(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int, bool]:
+    """stabilize's (N0, value), and whether the read that ended the search
+    was a free node."""
+    session._floor = 0
     leaf = g_eval(y, s, 0, session)
     items = s.items
     k = len(items)
+    leaf_free = session._floor <= k
     levels = session._prefix.get(items[:-1], [])[:k]
     if session.memo_enabled:
         levels = session._prefix.setdefault(items, levels)
@@ -313,10 +328,13 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     last: int | None = None
     for n in range(session.nmax + session.window + 1):
         if n > k:
+            session._floor = 0
             gv = _level(y, items, n, session, "g")
             hv = _level(y, items, n, session, "h")
+            free = session._floor <= n
         else:
             gv = leaf
+            free = n == k and leaf_free
             if n < len(levels):
                 hv = levels[n]
             else:
@@ -329,10 +347,10 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
         if last is not None and gv != last:
             run_start = n
         last = gv
-        if n - run_start >= session.window or (n >= k and session._floors.get(items, n + 1) <= n):
+        if n - run_start >= session.window or free:
             if run_start > session.nmax:
                 break
-            return run_start, gv
+            return run_start, gv, free
     raise StabilizationFailed(
         f"no stable window of width {session.window + 1} below depth {session.nmax} "
         f"for {y.name} at {list(s.items)}"
@@ -370,27 +388,26 @@ def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
     session. Raises GhEquationViolated if the equation fails. A value whose
     check fails or is cut short is dropped, so asking again fails again.
 
-    A start whose leaf is free (floor len(s), see _force) certifies itself
-    and skips the check, which cannot fail there: the leaf read nothing at
-    or past len(s), so it is the stable value at every depth from len(s)
-    up, and the check's point agrees with the leaf's on every position
-    below len(s), so Y reads the same positions there and gives the same
-    value.
+    A start whose settling search ends on a free node (see stabilize)
+    certifies itself and skips the check: a free value holds at every
+    depth from its floor up, so it is the approximation at any
+    nonstandard depth, which is Gamma(s). The check, and the settling
+    searches it would run at the children Y reads, add nothing there.
     """
     session.claim(y)
     entry = session._gamma.get(s.items)
     if entry is None:
-        entry = session._gamma[s.items] = stabilize(y, s, session)
-        try:
-            if session._floors.get(s.items) != len(s.items) and not gh_check(
-                lambda t: gamma_eval(y, t, session), y, s
-            ):
-                raise GhEquationViolated(
-                    f"{y.name} at {list(s.items)}: stable value {entry[1]} fails the equation"
-                )
-        except BaseException:
-            del session._gamma[s.items]
-            raise
+        n0, value, free = _settle(y, s, session)
+        entry = session._gamma[s.items] = n0, value
+        if not free:
+            try:
+                if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
+                    raise GhEquationViolated(
+                        f"{y.name} at {list(s.items)}: stable value {value} fails the equation"
+                    )
+            except BaseException:
+                del session._gamma[s.items]
+                raise
     return entry[1]
 
 
@@ -426,8 +443,9 @@ def ghs_witness(
 
     A candidate's comparisons stop at its floor: once h at depth n equals
     the stable value and the floor is at or below n, every depth above n
-    reads the same entry, so the window agrees through its top; as in
-    stabilize, the floor is looked up only from n = len(s) on. Depths up
+    reads the same entry, so the window agrees through its top. A floor
+    of s is at least len(s), so it is looked up only from there: each
+    lookup hashes all of s. Depths up
     to len(s) are read from the candidate's list of prefix levels (see
     stabilize), which gamma_eval has filled.
 

@@ -556,15 +556,15 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
     assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    # Each of evaluating, tracing and replaying spends exactly 140 steps.
+    # Each of evaluating, tracing and replaying spends exactly 115 steps.
     y = expr_functional("f(12)+1")
-    witness = herbrand_trace(y, EMPTY, make_session(140, window=14))
-    assert gamma_eval(y, EMPTY, make_session(140, window=14)) == 13
-    assert replay_check(witness, 140)
+    witness = herbrand_trace(y, EMPTY, make_session(115, window=14))
+    assert gamma_eval(y, EMPTY, make_session(115, window=14)) == 13
+    assert replay_check(witness, 115)
     for run in (
-        lambda: gamma_eval(y, EMPTY, make_session(139, window=14)),
-        lambda: herbrand_trace(y, EMPTY, make_session(139, window=14)),
-        lambda: replay_check(witness, 139),
+        lambda: gamma_eval(y, EMPTY, make_session(114, window=14)),
+        lambda: herbrand_trace(y, EMPTY, make_session(114, window=14)),
+        lambda: replay_check(witness, 114),
     ):
         with pytest.raises(FuelExhausted):
             run()
@@ -590,8 +590,13 @@ def test_replay_takes_its_run_from_the_file(tmp_path, capsys):
     # The same answers replay false under other knobs; replay never reads
     # the flags, so every one of these replays the recorded run.
     witness = read_trace(str(path))
-    assert not replay_check(replace(witness, window=4))
     assert not replay_check(replace(witness, nmax=5))
+    # f(6)+1 at [6, 5, 4, 3, 2] settles on its true value 2 at window 12,
+    # and on a false plateau that the equation check rejects at window 4.
+    deep = FinSeq((6, 5, 4, 3, 2))
+    deep_run = herbrand_trace(expr_functional("f(6)+1"), deep, make_session(window=12))
+    assert replay_check(deep_run)
+    assert not replay_check(replace(deep_run, window=4))
     for flags in ([], ["--window", "4"], ["--window", "14", "--seq", "1"], ["--nmax", "5"]):
         capsys.readouterr()
         assert main(["replay", "--trace", str(path), *flags]) == 0, flags

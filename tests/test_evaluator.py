@@ -132,14 +132,17 @@ def test_fixed_point_equation_holds_on_the_grid():
 def test_a_failed_certification_is_not_kept():
     # At window 4 stabilization settles on a false plateau at [6, 5, 4, 3, 2]
     # (window 12 certifies the true value 2), so the check fails there. No
-    # later call on the session may serve that value or an ancestor's.
+    # later call on the session may serve that value. The search at () ends
+    # on a free node, which certifies 7 without reading the false child.
     y = expr_functional("f(6)+1")
     deep = FinSeq((6, 5, 4, 3, 2))
     session = make_session(window=4)
-    for s in (EMPTY, deep, EMPTY):
+    for _ in range(3):
         with pytest.raises(GhEquationViolated) as exc:
-            gamma_eval(y, s, session)
+            gamma_eval(y, deep, session)
         assert str(exc.value) == "f(6)+1 at [6, 5, 4, 3, 2]: stable value 1 fails the equation"
+        assert deep.items not in session._gamma
+        assert gamma_eval(y, EMPTY, session) == 7 == brute_gamma(y, EMPTY)
     assert gamma_eval(y, deep, make_session(window=12)) == 2
 
 
@@ -253,7 +256,7 @@ def test_trace_replays_cleanly():
 @pytest.mark.parametrize(
     "expr, start, window, work",
     [
-        ("f(12)+1", (), 14, (153, 13, 27, 12, 13)),
+        ("f(12)+1", (), 14, (115, 13, 27, 12, 13)),
         ("f(0)+f(1)", (0, 2), 4, (3, 2, 7, 2, 2)),
     ],
 )
@@ -543,6 +546,40 @@ def test_memo_keys_are_observationally_transparent(tree, start, depth):
 
 
 @settings(deadline=None)
+# The search at () ends on a free node worth 3. A certificate keyed on the
+# memo, not on the node's own mark, certified it with the memo on and ran
+# the failing equation check with it off.
+@example(tree=parse_spec("1+f(2)"), start=[], window=1)
+# At [0] and depth 2 the leaf [0, 2] reads its pad, so the node there holds
+# at that depth only (mark 3): its value 2 is not the unfolded value 3.
+@example(tree=parse_spec("1+f(3)"), start=[0], window=2)
+# At [0] and window 1 the search ends on a plateau worth 0 that is not free,
+# where the value is 9: only the equation check stands between them.
+@example(tree=parse_spec("f(4)+f(1)"), start=[0], window=1)
+@given(
+    tree=_SHALLOW_AST,
+    start=st.lists(st.integers(min_value=0, max_value=2), max_size=3),
+    window=st.sampled_from([1, 2, 4]),
+)
+def test_gamma_eval_is_the_unfolded_value_or_refuses(tree, start, window):
+    # A search that ends on a free node is certified by it, any other by
+    # the equation check, which rejects a child settled on a false plateau
+    # by a narrow window. Either way no value is wrong, and the memo
+    # changes neither the outcome nor the depth.
+    y = functional_from_ast(tree)
+    s = FinSeq(start)
+    outcomes = []
+    for memo_enabled in (True, False):
+        session = make_session(window=window, memo_enabled=memo_enabled)
+        try:
+            outcomes.append((gamma_eval(y, s, session), session.gamma_depth(s)))
+        except GhEquationViolated as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) or outcomes[0][0] == brute_gamma(y, s)
+
+
+@settings(deadline=None)
 @given(tree=_SHALLOW_AST, start=st.sampled_from(enumerate_sequences(2, 3)))
 def test_the_certified_depth_gives_the_value_unless_the_bound_fails(tree, start):
     # The paper's route: a depth from the fan and pointwise bounds alone, no
@@ -632,6 +669,9 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
 # Stabilizing () leaves (2) a floor of 3, but at (2) the value moves from
 # 1 to 2 at depth 2: a floor above n must not end the search at n.
 @example(tree=parse_spec("f(2)+1"), starts=[(), (2,)], window=2, nmax=1)
+# The leaf at (1, 1) is free and h at depth 0 agrees with it, but h at
+# depth 1 does not: a free leaf ends the search at its own length only.
+@example(tree=parse_spec("ifz(f(0), 1, f(1))"), starts=[(1, 1)], window=1, nmax=0)
 @given(
     tree=_SHALLOW_AST,
     starts=st.permutations([s.items for s in enumerate_sequences(2, 3)]),
@@ -639,19 +679,31 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
     nmax=st.integers(min_value=0, max_value=6),
 )
 def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, nmax):
-    # With the memo, the search ends at a start's floor, where every later
-    # depth reads one entry; without it, it scans every depth up to
-    # nmax+window. Warm floors left by earlier starts must not end it early.
+    # The search ends at a start's floor, where every later depth reads one
+    # entry, with the memo on or off: the floor is the read's own mark. The
+    # answer must be the least N0 <= nmax over whose window h and g agree
+    # and hold, found by scanning every depth up to nmax+window. Warm floors
+    # left by earlier starts must not end the search early.
     y = functional_from_ast(tree)
     sessions = [make_session(window=window, nmax=nmax, memo_enabled=m) for m in (True, False)]
     for items in starts:
-        outcomes = []
+        s = FinSeq(items)
+        scan = make_session(memo_enabled=False)
+        pairs = [(h_eval(y, s, n, scan), g_eval(y, s, n, scan)) for n in range(nmax + window + 1)]
+        expected = next(
+            (
+                (n0, hv)
+                for n0, (hv, gv) in enumerate(pairs[: nmax + 1])
+                if hv == gv and len(set(pairs[n0 : n0 + window + 1])) == 1
+            ),
+            None,
+        )
         for session in sessions:
             try:
-                outcomes.append(stabilize(y, FinSeq(items), session))
-            except Exception as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1], items
+                got = stabilize(y, s, session)
+            except StabilizationFailed:
+                got = None
+            assert got == expected, (items, session.memo_enabled)
 
 
 def _outcome(run):
@@ -672,10 +724,10 @@ def test_settled_leaves_and_inherited_levels_are_observationally_transparent(
     y, window, starts, period
 ):
     # With the memo, a leaf that reads nothing at or past its length is
-    # free, a start settled that way skips its equation check, and a start
-    # reads the levels below its length from its parent's. Memo-free
-    # sessions do none of that, so they check all three from outside,
-    # whichever order the starts share one memo session in.
+    # written at its floor, and a start reads the levels below its length
+    # from its parent's. Memo-free sessions keep neither, so they check
+    # both from outside, whichever order the starts share one memo session
+    # in. Both skip the equation check of a start settled on a free node.
     with_memo = make_session(window=window)
 
     def settle(s: FinSeq, session: EvalSession):
@@ -856,31 +908,37 @@ def _work(session: EvalSession) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "expr, start, window, value, fuel, memo",
     [
-        ("f(12)+1", (), 14, 13, 140, 140),
-        ("f(0)+f(16)*2", (1, 0), 18, 32767, 173, 173),
+        ("f(12)+1", (), 14, 13, 115, 115),
+        ("f(0)+f(16)*2", (1, 0), 18, 32767, 148, 148),
         ("f(f(0))", (), 4, 0, 2, 2),
+        # memo None runs without the memo. The search still ends on a free
+        # node, so no equation check re-runs the search at each child.
+        ("f(12)+1", (), 14, 13, 142, None),
+        # The mark is the read's own: one left by a lower depth's read would
+        # end this search late, forcing four more nodes.
+        ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 9, None),
     ],
 )
 def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, memo):
     # Counts are deterministic: a change in the work done fails here,
     # without the noise of a timing gate.
-    session = make_session(window=window)
+    session = make_session(window=window, memo_enabled=memo is not None)
     assert gamma_eval(expr_functional(expr), FinSeq(start), session) == value
-    assert _work(session) == (fuel, memo)
+    assert _work(session) == (fuel, memo or 0)
 
 
 def test_ghs_witness_work_counts_are_frozen():
     y = functional_from_associate(flag_associate("flag-gamma", 5))
     session = make_session(fuel_steps=2_000_000, window=6)
     assert ghs_witness(y, constant_point(0, name="zeros"), session) == 6
-    assert _work(session) == (1497, 1497)
+    assert _work(session) == (1493, 1493)
 
 
 @pytest.mark.parametrize(
     "name, m0, point, work",
     [
         ("flag-gamma", 3, 1, (131, 131)),
-        ("flag-gamma", 5, 1, (1499, 1499)),
+        ("flag-gamma", 5, 1, (1495, 1495)),
         ("proj2", 3, 2, (54, 54)),
         ("sum01", 3, 1, (7, 7)),
         ("nest", 3, 0, (21, 21)),
@@ -933,9 +991,9 @@ def test_levels_above_a_floor_are_free():
     [
         ("f(12)+1", (), 14, stabilize, 28, 115),
         ("f(12)+1", (), 1_000_000, stabilize, 28, 115),
-        ("f(12)+1", (), 14, gamma_eval, 208, 140),
+        ("f(12)+1", (), 14, gamma_eval, 28, 115),
         ("f(0)+f(16)*2", (1, 0), 18, stabilize, 34, 148),
-        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 272, 173),
+        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 34, 148),
     ],
 )
 def test_stabilize_reads_no_level_above_a_floor(
