@@ -4,6 +4,19 @@ The bar search underlying everything here walks the tree of finite
 sequences bounded pointwise by a stream h, pruning a branch as soon as it
 settles the functional (functionals.settled). Continuity makes every
 branch prune eventually; Fuel guards against functionals that never do.
+
+Each functional remembers its bar. The walk below a prefix depends only
+on the functional, the prefix and h at the positions from the prefix's
+length down to its deepest unsettled extension walked, so a finished
+walk of a prefix is kept under the prefix's items with those bound values,
+its value set and its deepest conflict. A later walk reaching the prefix
+reads h at those positions: if every value matches it takes the entry and
+spends no fuel, otherwise it walks again and overwrites the entry. A walk
+that runs dry writes no entry for the subtrees it did not finish. A
+search keeps the entries of the prefix it starts at and of that prefix's
+children, where pwc_bound's next round starts, and none deeper: the
+table then grows with the number of searches, not with their size, which
+on a dense walk of a million steps would be hundreds of megabytes.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from typing import Callable
 
 from .errors import DepthExceeded
 from .functionals import Fuel, Functional, settled
-from .sequences import EMPTY, FinSeq, Point, constant_point, extend, pad, take
+from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, pad, take
 
 
 @dataclass(frozen=True)
@@ -52,34 +65,53 @@ class ThetaResult:
         return [pad(FinSeq(bits), 0) for bits in product((0, 1), repeat=self.bound)]
 
 
-def _bar_values(y: Functional, h: Point, sigma: FinSeq, fuel: Fuel) -> tuple[set[int], int]:
-    """Value set of y over h-bounded extensions of sigma, plus the deepest
+def _bar_values(
+    y: Functional, h: Point, prefix: tuple[int, ...], fuel: Fuel
+) -> tuple[frozenset[int], int]:
+    """Value set of y over h-bounded extensions of prefix, plus the deepest
     node below which values still disagree (-1 when none does)."""
     context = f"bar search({y.name})"
+    bar, bound = y._bar, h.value_at
+    kept = len(prefix) + 1
 
-    def walk(sigma: FinSeq) -> tuple[set[int], int]:
+    def walk(items: tuple[int, ...]) -> tuple[tuple[int, ...], frozenset[int], int]:
+        # (h's values from len(items) on that the walk read, value set, conflict)
+        entry = bar.get(items)
+        if entry is not None:
+            k = len(items)
+            if all(bound(k + i) == b for i, b in enumerate(entry[0])):
+                return entry
         fuel.spend(context)
-        value = settled(y, sigma)
+        value = settled(y, _from_trusted_tuple(items))
         if value is not None:
-            return {value}, -1
-        vals: set[int] = set()
-        conflict = -1
-        for v in range(h.value_at(len(sigma)) + 1):
-            child_vals, child_conflict = walk(extend(sigma, v))
-            vals |= child_vals
-            conflict = max(conflict, child_conflict)
-        if len(vals) > 1:
-            conflict = max(conflict, len(sigma))
-        return vals, conflict
+            entry = ((), frozenset((value,)), -1)
+        else:
+            top = bound(len(items))
+            below: tuple[int, ...] = ()
+            vals: set[int] = set()
+            conflict = -1
+            for v in range(top + 1):
+                child_bounds, child_vals, child_conflict = walk(items + (v,))
+                if len(child_bounds) > len(below):
+                    below = child_bounds
+                vals |= child_vals
+                conflict = max(conflict, child_conflict)
+            if len(vals) > 1:
+                conflict = max(conflict, len(items))
+            entry = ((top, *below), frozenset(vals), conflict)
+        if len(items) <= kept:
+            bar[items] = entry
+        return entry
 
-    return walk(sigma)
+    _, vals, conflict = walk(prefix)
+    return vals, conflict
 
 
 def full_fan_modulus(y: Functional, h: Point, fuel: Fuel) -> int:
     """Least N such that y is constant on {g <= h pointwise} once the first
     N values are fixed. Computed as one past the deepest disagreement in
     the bar-search tree."""
-    _, conflict = _bar_values(y, h, EMPTY, fuel)
+    _, conflict = _bar_values(y, h, (), fuel)
     return conflict + 1
 
 
@@ -130,15 +162,16 @@ def pwc_bound(y: Functional, f: Point, h: Point, fuel: Fuel) -> int:
     terminates at the latest when n passes the unconstrained maximum.
     """
     context = f"pwc_bound({y.name})"
-    n = 0
+    prefix: tuple[int, ...] = ()
     while True:
         fuel.spend(context)
-        if any(f.value_at(i) > h.value_at(i) for i in range(n)):
+        n = len(prefix)
+        if n and prefix[-1] > h.value_at(n - 1):
             return n
-        vals, _ = _bar_values(y, h, take(f, n), fuel)
+        vals, _ = _bar_values(y, h, prefix, fuel)
         if max(vals) <= n:
             return n
-        n += 1
+        prefix += (f.value_at(n),)
 
 
 def enumerate_trees(height: int) -> list[BinTree]:

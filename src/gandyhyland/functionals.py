@@ -12,7 +12,7 @@ instead of diverging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
@@ -70,12 +70,15 @@ class Functional:
     Only apply is used: where the package needs continuity, settled reads
     it off what apply reads. Nothing in the package sets or reads modulus;
     the field stays so that code passing the three fields by position,
-    such as perfbench/tracer.py, keeps working.
+    such as perfbench/tracer.py, keeps working. _bar is the functional's
+    bar table, which only fan's bar search reads and writes: finished
+    walks by prefix, each valid while h agrees on the bound values it read.
     """
 
     apply: Callable[[Point], int]
     modulus: Callable[[Point], int] | None = None
     name: str = "functional"
+    _bar: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"Functional({self.name})"

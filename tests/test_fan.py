@@ -11,8 +11,11 @@ from gandyhyland import (
     Fuel,
     FuelExhausted,
     Functional,
+    Point,
     associate_from_functional,
+    certified_depth_bounded,
     constant_point,
+    enumerate_sequences,
     enumerate_trees,
     fan_modulus,
     full_fan_modulus,
@@ -28,6 +31,8 @@ from gandyhyland.cli.fixtures import (
     functional_fixture,
     tree_fixture,
 )
+from gandyhyland.evaluator import EvalSession
+from gandyhyland.fan import _bar_values
 from oracles import (
     FAN_MODULI,
     FULL_FAN_PROJ3_H5,
@@ -104,6 +109,120 @@ def test_an_apply_only_functional_works_in_bar_search_and_as_an_associate():
         assert full_fan_modulus(y, twos, Fuel(1000)) == 3
         assert pwc_bound(y, zeros, ones, Fuel(1000)) == 1
         assert associate_from_functional(y).query(FinSeq((0,))) == 1
+
+
+# Each case builds a fresh functional: the catalog, then a few expressions.
+_SHARED_CASES = [
+    *(pytest.param(lambda name=name: functional_fixture(name), id=name)
+      for name in ("const2", "proj0", "proj2", "sum01", "nest", "flag-gamma")),
+    *(pytest.param(lambda text=text: expr_functional(text), id=text)
+      for text in ("f(0)+f(3)", "ifz(f(2),1,f(4))", "least(2,f(1))", "f(f(1)+1)")),
+]
+
+_SEARCHES = (
+    lambda y, h: full_fan_modulus(y, h, Fuel(100_000)),
+    lambda y, h: fan_modulus(y, Fuel(100_000)),
+    lambda y, h: pwc_bound(y, constant_point(0), h, Fuel(100_000)),
+    lambda y, h: pwc_bound(y, pad(FinSeq((1, 2, 0, 1)), 0), h, Fuel(100_000)),
+)
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("make", _SHARED_CASES)
+def test_a_functional_that_remembers_its_bar_answers_as_a_fresh_one(make, position):
+    # The bounds 1, 2 and 3, then 3 with position lowered to 0, then 1
+    # again: each search on the shared functional reads back what earlier
+    # ones walked wherever the bound values it read still match.
+    dip = Point(lambda i: 0 if i == position else 3, name=f"3 but 0 at {position}")
+    bounds = [constant_point(1), constant_point(2), constant_point(3), dip, constant_point(1)]
+    y = make()
+    for h in bounds:
+        for i, search in enumerate(_SEARCHES):
+            assert search(y, h) == search(make(), h), (h.name, i)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda y, h, fuel: full_fan_modulus(y, h, fuel),
+        lambda y, h, fuel: pwc_bound(y, constant_point(0), h, fuel),
+    ],
+    ids=["full-fan", "pwc"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: functional_fixture("nest"),
+        lambda: functional_fixture("flag-gamma"),
+        lambda: expr_functional("f(0)+f(3)"),
+    ],
+    ids=["nest", "flag-gamma", "f(0)+f(3)"],
+)
+def test_a_search_that_runs_dry_leaves_only_finished_walks(make, search):
+    h = constant_point(2)
+    fuel = Fuel(100_000)
+    want = search(make(), h, fuel)
+    cost = fuel.budget - fuel.remaining
+    for budget in range(cost):
+        y = make()
+        with pytest.raises(FuelExhausted):
+            search(y, h, Fuel(budget))
+        for items in list(y._bar):
+            assert _bar_values(y, h, items, Fuel(100_000)) == _bar_values(
+                make(), h, items, Fuel(100_000)
+            ), (budget, items)
+        assert search(y, h, Fuel(100_000)) == want, budget
+
+
+def test_a_repeated_bar_search_spends_nothing():
+    y = functional_fixture("flag-gamma")
+    h = constant_point(2)
+    fuel = Fuel(100_000)
+    first = full_fan_modulus(y, h, fuel)
+    left = fuel.remaining
+    assert full_fan_modulus(y, h, fuel) == first
+    assert fuel.remaining == left
+
+
+def test_a_bar_search_keeps_its_prefix_and_that_prefix_s_children_only():
+    # f(9) under h = 1 walks 2047 prefixes; keeping them all would make the
+    # table grow with the walk
+    y = expr_functional("f(9)")
+    assert full_fan_modulus(y, constant_point(1), Fuel(100_000)) == 10
+    assert sorted(y._bar) == [(), (0,), (1,)]
+    # pwc's rounds at () and (0,) read those entries back and add none
+    fuel = Fuel(100_000)
+    assert pwc_bound(y, constant_point(0), constant_point(1), fuel) == 1
+    assert fuel.budget - fuel.remaining == 2
+    assert sorted(y._bar) == [(), (0,), (1,)]
+
+
+class _BarSteps(Fuel):
+    """Fuel that counts the steps its bar searches spend."""
+
+    __slots__ = ("bar",)
+
+    def __init__(self, max_steps: int):
+        super().__init__(max_steps)
+        self.bar = 0
+
+    def spend(self, context: str = "search") -> None:
+        self.bar += context.startswith("bar search")
+        super().spend(context)
+
+
+def test_certified_depths_read_back_the_flag_bar():
+    # Every start's pwc bound and lifted fan search walk the same 121-node
+    # tree under the same bound values, so only a pwc round whose prefix no
+    # earlier search kept walks anew; walking afresh everywhere took 3835
+    # steps.
+    y = functional_fixture("flag-gamma", m0=3)
+    fuel = _BarSteps(2_000_000)
+    session = EvalSession(fuel=fuel)
+    h2 = constant_point(2, name="h2")
+    depths = [certified_depth_bounded(y, s, h2, session) for s in enumerate_sequences(2, 3)]
+    assert depths == [4, 5, 5, 5] + [6] * 9
+    assert fuel.bar == 238
 
 
 def test_special_fan_shapes():
