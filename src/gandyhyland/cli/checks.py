@@ -275,10 +275,7 @@ def check_cross_coherence() -> Iterator[str]:
     points = sample_points()
     for assoc in catalog_associates():
         y = functional_from_associate(assoc, 100_000)
-        # A flag functional reads up to position m0; at starts shorter than
-        # that, the first m0+1 depths agree on a padded value that the true
-        # limit leaves behind. The window must outlast that false run.
-        session = make_session(fuel_steps=2_000_000, window=6)
+        session = make_session(fuel_steps=2_000_000)
         for f in points:
             via_ghs = ghs_witness(y, f, session)
             via_assoc = modulus_from_associate(assoc, f, Fuel(200_000))

@@ -33,10 +33,6 @@ class StabilizationFailed(GandyHylandError):
     """No stable window of depth-bounded values found below the depth cap."""
 
 
-class GhEquationViolated(GandyHylandError):
-    """The computed functional failed its own defining fixed-point equation."""
-
-
 class OutOfTableQuery(GandyHylandError):
     """A replay run asked for an oracle answer the recorded trace lacks."""
 

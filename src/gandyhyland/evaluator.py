@@ -15,11 +15,12 @@ out, so everything goes through depth-bounded approximations:
 
 Depth-invariance is rendered as stabilization: the least N0 from which
 h_eval and g_eval agree and stay constant across a window of consecutive
-depths, a search that ends at the start's floor. gamma_eval returns the
-stable value and then checks the fixed-point equation at it, unless the
-search ended on a free node: a free value holds at every depth from its
-floor up, so it is the approximation at any nonstandard depth, which is
-the value itself, and the check is skipped.
+depths, a search that ends at the start's floor. gamma_eval takes the
+stable value if the search ended on a free node, which holds at every
+depth from its floor up, so at any nonstandard depth. Otherwise the
+fixed-point equation, its children certified, names the value, and a
+plateau that differs is searched past: the window only decides how many
+depths must agree before the equation is asked.
 
 Recursive occurrences inside an application are provided as lazily
 evaluated points: Y only forces the child values it actually reads, which
@@ -36,7 +37,6 @@ from typing import Callable
 from .errors import (
     BoundExceeded,
     FuelExhausted,
-    GhEquationViolated,
     InvariantViolation,
     OutOfTableQuery,
     StabilizationFailed,
@@ -70,9 +70,9 @@ class EvalSession:
     memo_put is its only writer, so with memo_enabled off it stays empty
     and every read misses. _floors maps the items of each free node (see
     _force) to its floor, the depth its one entry is keyed at; with
-    memo_enabled off it stays empty too. _gamma holds computed gamma
-    values together with the depth at which they stabilized, only while
-    certified or being certified. _prefix maps each stabilized sequence s
+    memo_enabled off it stays empty too. _gamma holds the gamma values
+    certified so far, together with the depth at which they stabilized
+    (see gamma_eval). _prefix maps each stabilized sequence s
     to its prefix levels, h at s for the depths 0 .. len(s) that stabilize
     has read, each the leaf at s's prefix of that length. It is filled
     only with memo_enabled on, where each of its reads stands in for a
@@ -313,9 +313,13 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     return _settle(y, s, session)[:2]
 
 
-def _settle(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int, bool]:
+def _settle(
+    y: Functional, s: FinSeq, session: EvalSession, want: int | None = None
+) -> tuple[int, int, bool]:
     """stabilize's (N0, value), and whether the read that ended the search
-    was a free node."""
+    was a free node. Given want, a run not worth want is a mismatch, so N0
+    starts the first plateau holding want; StabilizationFailed names want,
+    at once if a free read (which every deeper depth reads) misses it."""
     session._floor = 0
     leaf = g_eval(y, s, 0, session)
     items = s.items
@@ -330,8 +334,9 @@ def _settle(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int, b
         if n > k:
             session._floor = 0
             gv = _level(y, items, n, session, "g")
-            hv = _level(y, items, n, session, "h")
             free = session._floor <= n
+            # A free g node reads no pad or child past n: h reads the same.
+            hv = gv if free else _level(y, items, n, session, "h")
         else:
             gv = leaf
             free = n == k and leaf_free
@@ -340,7 +345,9 @@ def _settle(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int, b
             else:
                 hv = _level(y, items, n, session, "h")
                 levels.append(hv)
-        if hv != gv:
+        if hv != gv or (want is not None and gv != want):
+            if free:
+                break
             run_start = n + 1
             last = None
             continue
@@ -353,18 +360,14 @@ def _settle(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int, b
             return run_start, gv, free
     raise StabilizationFailed(
         f"no stable window of width {session.window + 1} below depth {session.nmax} "
-        f"for {y.name} at {list(s.items)}"
+        f"for {y.name} at {list(s.items)}" + ("" if want is None else f" with value {want}")
     )
 
 
-def gh_check(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> bool:
-    """Does gamma satisfy the defining equation at s?
-
-    The right side applies y to the point that starts with s, then 0, then
-    carries gamma at the one-step extensions of s. Continuity of y grounds
-    the recursion when gamma is gamma_eval itself.
-    """
-    lhs = gamma(s)
+def _rhs(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> int:
+    """The right side of the defining equation at s: y applied to the point
+    that starts with s, then 0, then carries gamma at the one-step
+    extensions of s."""
     items = s.items
     k = len(items)
 
@@ -375,39 +378,37 @@ def gh_check(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> bool:
             return 0
         return gamma(_from_trusted_tuple(items + (i - k,)))
 
-    rhs = y.apply(Point(gen, lambda: f"gh-block {list(items)}"))
-    return lhs == rhs
+    return y.apply(Point(gen, lambda: f"gh-block {list(items)}"))
+
+
+def gh_check(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> bool:
+    """Does gamma satisfy the defining equation at s? Continuity of y
+    grounds the recursion when gamma is gamma_eval itself."""
+    return gamma(s) == _rhs(gamma, y, s)
 
 
 def gamma_eval(y: Functional, s: FinSeq, session: EvalSession) -> int:
-    """Stable value at s, verified against the defining equation.
-
-    Stabilizes g_eval, then checks the fixed-point equation with the
-    computed values standing in for the recursive occurrences; the check
-    recurses through the children it reads, each verified once per
-    session. Raises GhEquationViolated if the equation fails. A value whose
-    check fails or is cut short is dropped, so asking again fails again.
+    """Stable value at s, certified by the defining equation.
 
     A start whose settling search ends on a free node (see stabilize)
-    certifies itself and skips the check: a free value holds at every
-    depth from its floor up, so it is the approximation at any
-    nonstandard depth, which is Gamma(s). The check, and the settling
-    searches it would run at the children Y reads, add nothing there.
+    certifies itself: a free value holds at every depth from its floor up,
+    so it is the approximation at any nonstandard depth, which is
+    Gamma(s). Otherwise the equation's right side, with gamma_eval at the
+    children it reads (each certified once per session), is Gamma(s); a
+    plateau worth another value is searched past (see _settle), and the
+    reported depth is the start of the first plateau that holds it.
+    StabilizationFailed if none starts at or below nmax; nothing failed is
+    kept, so asking again fails again.
     """
     session.claim(y)
     entry = session._gamma.get(s.items)
     if entry is None:
         n0, value, free = _settle(y, s, session)
-        entry = session._gamma[s.items] = n0, value
         if not free:
-            try:
-                if not gh_check(lambda t: gamma_eval(y, t, session), y, s):
-                    raise GhEquationViolated(
-                        f"{y.name} at {list(s.items)}: stable value {value} fails the equation"
-                    )
-            except BaseException:
-                del session._gamma[s.items]
-                raise
+            rhs = _rhs(lambda t: gamma_eval(y, t, session), y, s)
+            if rhs != value:
+                n0, value, _ = _settle(y, s, session, rhs)
+        entry = session._gamma[s.items] = n0, value
     return entry[1]
 
 
@@ -703,15 +704,15 @@ def replay_check(w: HerbrandWitness, fuel_steps: int = DEFAULT_SESSION_FUEL) -> 
 
     True iff the replayed run reproduces the recorded stable value, the
     recorded stabilization depth, and the whole per-depth trajectory. A
-    witness whose answers were tampered with changes one of those, trips
-    the equation check (reported as False), or runs off its own table
-    (OutOfTableQuery propagates).
+    witness whose answers were tampered with changes one of those, leaves
+    no plateau that the equation certifies (reported as False), or runs
+    off its own table (OutOfTableQuery propagates).
     """
     stub = Functional(apply=_stub_operation(w.probes["apply"]), name="replay stub")
     session = make_session(fuel_steps, window=w.window, nmax=w.nmax)
     try:
         result = gamma_eval(stub, w.seq, session)
-    except (GhEquationViolated, StabilizationFailed):
+    except StabilizationFailed:
         return False
     if result != w.result or session.gamma_depth(w.seq) != w.depth:
         return False

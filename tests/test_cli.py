@@ -591,12 +591,12 @@ def test_replay_takes_its_run_from_the_file(tmp_path, capsys):
     # the flags, so every one of these replays the recorded run.
     witness = read_trace(str(path))
     assert not replay_check(replace(witness, nmax=5))
-    # f(6)+1 at [6, 5, 4, 3, 2] settles on its true value 2 at window 12,
-    # and on a false plateau that the equation check rejects at window 4.
-    deep = FinSeq((6, 5, 4, 3, 2))
-    deep_run = herbrand_trace(expr_functional("f(6)+1"), deep, make_session(window=12))
-    assert replay_check(deep_run)
-    assert not replay_check(replace(deep_run, window=4))
+    # ifz(f(3),3,0) at [2] is 3 at every window, but its plateau starts at
+    # depth 3 at window 4 and at depth 0 at window 1.
+    run = herbrand_trace(expr_functional("ifz(f(3),3,0)"), FinSeq((2,)), make_session(window=4))
+    assert (run.result, run.depth) == (3, 3)
+    assert replay_check(run)
+    assert not replay_check(replace(run, window=1))
     for flags in ([], ["--window", "4"], ["--window", "14", "--seq", "1"], ["--nmax", "5"]):
         capsys.readouterr()
         assert main(["replay", "--trace", str(path), *flags]) == 0, flags

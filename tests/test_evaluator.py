@@ -17,7 +17,6 @@ from gandyhyland import (
     Fuel,
     FuelExhausted,
     Functional,
-    GhEquationViolated,
     HerbrandWitness,
     InvariantViolation,
     OutOfTableQuery,
@@ -130,20 +129,27 @@ def test_fixed_point_equation_holds_on_the_grid():
 
 
 def test_a_failed_certification_is_not_kept():
-    # At window 4 stabilization settles on a false plateau at [6, 5, 4, 3, 2]
-    # (window 12 certifies the true value 2), so the check fails there. No
-    # later call on the session may serve that value. The search at () ends
-    # on a free node, which certifies 7 without reading the false child.
+    # At window 4 the search at [6, 5, 4, 3, 2] settles first on a false
+    # plateau worth 1. The equation, through the certified child
+    # [6, 5, 4, 3, 2, 1] worth 1, names the true value 2, whose plateau
+    # starts at depth 6, past nmax 5. Asking again fails again, the start is
+    # never kept, and the certified child stays served.
     y = expr_functional("f(6)+1")
     deep = FinSeq((6, 5, 4, 3, 2))
-    session = make_session(window=4)
+    child = FinSeq((6, 5, 4, 3, 2, 1))
+    session = make_session(window=4, nmax=5)
     for _ in range(3):
-        with pytest.raises(GhEquationViolated) as exc:
+        with pytest.raises(StabilizationFailed) as exc:
             gamma_eval(y, deep, session)
-        assert str(exc.value) == "f(6)+1 at [6, 5, 4, 3, 2]: stable value 1 fails the equation"
+        assert str(exc.value) == (
+            "no stable window of width 5 below depth 5 for f(6)+1 at [6, 5, 4, 3, 2] "
+            "with value 2"
+        )
         assert deep.items not in session._gamma
-        assert gamma_eval(y, EMPTY, session) == 7 == brute_gamma(y, EMPTY)
-    assert gamma_eval(y, deep, make_session(window=12)) == 2
+        assert gamma_eval(y, child, session) == 1 == brute_gamma(y, child)
+    wider = make_session(window=4)
+    assert gamma_eval(y, deep, wider) == 2 == brute_gamma(y, deep)
+    assert wider.gamma_depth(deep) == 6
 
 
 def test_stable_approximants_agree_and_solve_the_equation():
@@ -296,6 +302,34 @@ def test_replay_rejects_every_single_answer_mutation():
                 assert not replay_check(bad), (s.items, i)
             except (OutOfTableQuery, FuelExhausted):
                 pass
+
+
+@pytest.mark.parametrize(
+    "expr, start, window, value, depth, rows",
+    [
+        ("f(6)+1", (6, 5, 4, 3, 2), 4, 2, 6, 2),
+        ("f(4)+f(1)", (0,), 1, 9, 4, 7),
+        ("f(1)+f(2)", (), 1, 2, 2, 4),
+    ],
+)
+def test_a_retried_start_replays_and_catches_every_mutation(
+    expr, start, window, value, depth, rows
+):
+    # Each start's first plateau is false: the equation names the value,
+    # and the search goes on to the plateau that holds it. The replay
+    # repeats that retry, and any one changed answer is caught.
+    y = expr_functional(expr)
+    s = FinSeq(start)
+    assert stabilize(y, s, make_session(window=window))[1] != value
+    w = herbrand_trace(y, s, make_session(window=window))
+    assert (w.result, w.depth, len(w.probes["apply"])) == (value, depth, rows)
+    assert value == brute_gamma(y, s)
+    assert replay_check(w)
+    for i in range(rows):
+        try:
+            assert not replay_check(_with_mutated_answer(w, i)), (start, i)
+        except (OutOfTableQuery, FuelExhausted):
+            pass
 
 
 def test_replay_ignores_unreachable_extra_rows():
@@ -548,35 +582,33 @@ def test_memo_keys_are_observationally_transparent(tree, start, depth):
 @settings(deadline=None)
 # The search at () ends on a free node worth 3. A certificate keyed on the
 # memo, not on the node's own mark, certified it with the memo on and ran
-# the failing equation check with it off.
+# the equation check with it off.
 @example(tree=parse_spec("1+f(2)"), start=[], window=1)
 # At [0] and depth 2 the leaf [0, 2] reads its pad, so the node there holds
 # at that depth only (mark 3): its value 2 is not the unfolded value 3.
 @example(tree=parse_spec("1+f(3)"), start=[0], window=2)
 # At [0] and window 1 the search ends on a plateau worth 0 that is not free,
-# where the value is 9: only the equation check stands between them.
+# where the value is 9: the equation names 9, and the search goes on to the
+# plateau at depth 4 that holds it.
 @example(tree=parse_spec("f(4)+f(1)"), start=[0], window=1)
 @given(
     tree=_SHALLOW_AST,
     start=st.lists(st.integers(min_value=0, max_value=2), max_size=3),
     window=st.sampled_from([1, 2, 4]),
 )
-def test_gamma_eval_is_the_unfolded_value_or_refuses(tree, start, window):
+def test_gamma_eval_is_the_unfolded_value(tree, start, window):
     # A search that ends on a free node is certified by it, any other by
-    # the equation check, which rejects a child settled on a false plateau
-    # by a narrow window. Either way no value is wrong, and the memo
-    # changes neither the outcome nor the depth.
+    # the equation, which names the value a plateau must hold. Either way
+    # the value is the unfolded one, and the memo changes neither the value
+    # nor the depth.
     y = functional_from_ast(tree)
     s = FinSeq(start)
     outcomes = []
     for memo_enabled in (True, False):
         session = make_session(window=window, memo_enabled=memo_enabled)
-        try:
-            outcomes.append((gamma_eval(y, s, session), session.gamma_depth(s)))
-        except GhEquationViolated as exc:
-            outcomes.append(str(exc))
+        outcomes.append((gamma_eval(y, s, session), session.gamma_depth(s)))
     assert outcomes[0] == outcomes[1]
-    assert isinstance(outcomes[0], str) or outcomes[0][0] == brute_gamma(y, s)
+    assert outcomes[0][0] == brute_gamma(y, s)
 
 
 @settings(deadline=None)
@@ -866,29 +898,31 @@ def _reach(tree) -> int:
 # At zeros, K = 0 finds the candidate (0, 1) agreeing at depths 0 and 1
 # but not at 2, so K = 1 must fail on it too without comparing again.
 @example(
-    tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"), period=[0], value_cap=1, tail_cap=1
+    tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"),
+    period=[0],
+    value_cap=1,
+    tail_cap=1,
+    window=4,
 )
 @given(
     tree=_SHALLOW_AST,
     period=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
     value_cap=st.integers(min_value=0, max_value=1),
     tail_cap=st.integers(min_value=0, max_value=2),
+    window=st.sampled_from([1, 2, 4]),
 )
-def test_ghs_witness_is_the_least_uniform_depth(tree, period, value_cap, tail_cap):
-    # From depth _reach on, both approximations are exact, so a window and
-    # an nmax that wide make every stabilization land on the true value and
-    # some K at or below nmax pass: neither side can fail. A narrower
-    # window lets stabilization settle on a short false plateau, which the
-    # equation check rejects while the oracle still has an answer.
+def test_ghs_witness_is_the_least_uniform_depth(tree, period, value_cap, tail_cap, window):
+    # From depth _reach on, both approximations are exact, so an nmax that
+    # deep lets some K at or below it pass: neither side can fail.
     # A memo-free session reads nothing back, so it checks the level reads
     # in stabilize and ghs_witness from outside. The brute lists every
     # capped sequence agreeing with alpha, so it checks the rows too.
     reach = _reach(tree)
     y = functional_from_ast(tree)
     alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
-    expected = brute_ghs_witness(y, alpha, reach, reach, value_cap, tail_cap)
+    expected = brute_ghs_witness(y, alpha, window, reach, value_cap, tail_cap)
     for memo_enabled in (True, False):
-        session = make_session(window=reach, nmax=reach, memo_enabled=memo_enabled)
+        session = make_session(window=window, nmax=reach, memo_enabled=memo_enabled)
         got = ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=tail_cap)
         assert got == expected, memo_enabled
 
@@ -912,11 +946,12 @@ def _work(session: EvalSession) -> tuple[int, int]:
         ("f(0)+f(16)*2", (1, 0), 18, 32767, 148, 148),
         ("f(f(0))", (), 4, 0, 2, 2),
         # memo None runs without the memo. The search still ends on a free
-        # node, so no equation check re-runs the search at each child.
-        ("f(12)+1", (), 14, 13, 142, None),
+        # node, so no equation check re-runs the search at each child, and
+        # that free g read stands for h at its depth.
+        ("f(12)+1", (), 14, 13, 129, None),
         # The mark is the read's own: one left by a lower depth's read would
         # end this search late, forcing four more nodes.
-        ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 9, None),
+        ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 7, None),
     ],
 )
 def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, memo):
@@ -989,18 +1024,18 @@ def test_levels_above_a_floor_are_free():
 @pytest.mark.parametrize(
     "expr, start, window, evaluate, reads, fuel",
     [
-        ("f(12)+1", (), 14, stabilize, 28, 115),
-        ("f(12)+1", (), 1_000_000, stabilize, 28, 115),
-        ("f(12)+1", (), 14, gamma_eval, 28, 115),
-        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 34, 148),
-        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 34, 148),
+        ("f(12)+1", (), 14, stabilize, 27, 115),
+        ("f(12)+1", (), 1_000_000, stabilize, 27, 115),
+        ("f(12)+1", (), 14, gamma_eval, 27, 115),
+        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 33, 148),
+        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 33, 148),
     ],
 )
 def test_stabilize_reads_no_level_above_a_floor(
     monkeypatch, expr, start, window, evaluate, reads, fuel
 ):
     # Every depth above a start's floor reads one entry, so the search ends
-    # there, however wide the window. The reads it skips were memo hits:
+    # there, however wide the window, on a g read alone. The reads it skips were memo hits:
     # the fuel is what a scan of every depth up to N0+window spends. A
     # block's child reads go through _level too; only outermost calls,
     # the level reads, are counted.
