@@ -199,9 +199,9 @@ def check_mu_round_trips() -> Iterator[str]:
     """Both derived searches find the true least zero; fuel runs dry on zero-free input."""
 
     def gamma_closure(assoc):
-        # Small per-apply budget: on a deciding associate the scan stops
-        # within a couple dozen steps, and on an undecided one we want the
-        # failure promptly.
+        # Small budget, shared by all the functional's applies: on a
+        # deciding associate each scan stops within a couple dozen steps,
+        # and on an undecided one we want the failure promptly.
         fn = functional_from_associate(assoc, 2_000)
         return gamma_eval(fn, EMPTY, make_session(fuel_steps=500_000))
 

@@ -300,6 +300,17 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     holds from there and appends the next ones up to len(s). Each read it
     skips would have been a memo hit: no node, fuel step or apply moves.
 
+    The depths up to len(s) are read in order. Above it g is a block,
+    whose read of a far position forces a fresh chain of nodes, so the
+    search reads the top of a window first (see _settle_above). With
+    run_start the least depth where a run could still start, every run
+    starting from there to p = run_start+window holds at p. If h and g
+    disagree at p (or, given want, miss it), none of them is the answer:
+    the depths below p are never read, and run_start moves to p+1. If they
+    agree, the search walks down from p to the start of the run holding p,
+    which becomes run_start. So N0 is unchanged: no depth skipped starts a
+    run, and the walk down stops at the least start that can.
+
     The search ends at the start's floor: once the node at s read at a
     depth n >= len(s) is free, its mark (session._floor after the read,
     see EvalSession) being at most n, h and g take its one value at every
@@ -328,40 +339,95 @@ def _settle(
     levels = session._prefix.get(items[:-1], [])[:k]
     if session.memo_enabled:
         levels = session._prefix.setdefault(items, levels)
+    window, nmax = session.window, session.nmax
+    wanted = want is None or leaf == want
     run_start = 0
-    last: int | None = None
-    for n in range(session.nmax + session.window + 1):
-        if n > k:
-            session._floor = 0
-            gv = _level(y, items, n, session, "g")
-            free = session._floor <= n
-            # A free g node reads no pad or child past n: h reads the same.
-            hv = gv if free else _level(y, items, n, session, "h")
+    for n in range(min(k, nmax + window) + 1):
+        if n < len(levels):
+            hv = levels[n]
         else:
-            gv = leaf
-            free = n == k and leaf_free
-            if n < len(levels):
-                hv = levels[n]
-            else:
-                hv = _level(y, items, n, session, "h")
-                levels.append(hv)
-        if hv != gv or (want is not None and gv != want):
+            hv = _level(y, items, n, session, "h")
+            levels.append(hv)
+        free = n == k and leaf_free
+        if hv != leaf or not wanted:
             if free:
                 break
             run_start = n + 1
-            last = None
-            continue
-        if last is not None and gv != last:
-            run_start = n
-        last = gv
-        if n - run_start >= session.window or free:
-            if run_start > session.nmax:
+        elif n - run_start >= window or free:
+            if run_start > nmax:
                 break
-            return run_start, gv, free
+            return run_start, leaf, free
+    else:
+        found = _settle_above(y, items, session, want, run_start, leaf)
+        if found is not None:
+            return found
     raise StabilizationFailed(
-        f"no stable window of width {session.window + 1} below depth {session.nmax} "
+        f"no stable window of width {window + 1} below depth {nmax} "
         f"for {y.name} at {list(s.items)}" + ("" if want is None else f" with value {want}")
     )
+
+
+def _settle_above(
+    y: Functional,
+    items: tuple[int, ...],
+    session: EvalSession,
+    want: int | None,
+    run_start: int,
+    leaf: int,
+) -> tuple[int, int, bool] | None:
+    """_settle's search above the start's length k, where g is a block;
+    None where _settle fails. run_start is the least depth where a run
+    could still start: the start of the run of the leaf's value through
+    depth k, if that is at most k.
+
+    Each round reads p = run_start + window first (see stabilize). If p
+    disagrees, run_start moves past it. If p agrees, the search walks down
+    from p until a depth breaks the run, and the run's start becomes
+    run_start; the next round's top then completes the run or breaks it.
+    A walk down stops at n, above every depth read or ruled out before. A
+    free p has every depth from its floor up read one entry, so the walk
+    down starts below that floor, and the run, which holds p, ends on a
+    free read.
+    """
+    k = len(items)
+    window, nmax = session.window, session.nmax
+    last = leaf if run_start <= k else None
+    n = k + 1
+    while run_start <= nmax:
+        p = run_start + window
+        if p < n:
+            return run_start, last, False
+        hv, gv, mark = _depth_pair(y, items, p, session)
+        if hv != gv or (want is not None and gv != want):
+            if mark <= p:
+                return None
+            run_start = n = p + 1
+            last = None
+            continue
+        d = (max(mark, n) if mark <= p else p) - 1
+        while d >= n:
+            hd, gd, _ = _depth_pair(y, items, d, session)
+            if hd != gd or gd != gv:
+                break
+            d -= 1
+        if d >= n or last != gv:
+            run_start = d + 1
+        if mark <= p:
+            return (run_start, gv, True) if run_start <= nmax else None
+        last, n = gv, p + 1
+    return None
+
+
+def _depth_pair(
+    y: Functional, items: tuple[int, ...], n: int, session: EvalSession
+) -> tuple[int, int, int]:
+    """(h, g, mark of the g read) at items and depth n > len(items)."""
+    session._floor = 0
+    gv = _level(y, items, n, session, "g")
+    mark = session._floor
+    # A free g node reads no pad or child past n: h reads the same.
+    hv = gv if mark <= n else _level(y, items, n, session, "h")
+    return hv, gv, mark
 
 
 def _rhs(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> int:
@@ -616,9 +682,12 @@ class _Recorder:
 def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWitness:
     """Run gamma_eval at s on a fresh session, recording every oracle call.
 
-    The trajectory holds depth+window+1 rows. They are memo hits, so fuel
-    does not bound them: if there are more rows than the session's fuel
-    budget, FuelExhausted is raised before any row is read.
+    The trajectory holds depth+window+1 rows. The rows the settling search
+    read are memo hits, which spend no fuel; the ones it skipped (see
+    stabilize) are forced for the trajectory, on the session's fuel, and
+    their calls are recorded too. As the hits alone are not bounded by
+    fuel, FuelExhausted is raised before any row is read if there are more
+    rows than the session's fuel budget.
     """
     recorder = _Recorder()
     wrapped = Functional(apply=recorder.wrap(y.apply), name=f"traced {y.name}")
@@ -631,10 +700,10 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
             f"herbrand_trace({y.name}): the trajectory holds {rows} rows, "
             f"more than the fuel budget of {fresh.fuel.budget} steps"
         )
-    # Memo hits only: the stabilization search visited every depth in this
-    # range below the start's floor, those up to the start's length as the
-    # leaves of its prefixes, and every depth above it reads the floor
-    # entry, so reading the values back consumes no new probes.
+    # The search read the depths up to the start's length as the leaves of
+    # its prefixes, and every depth from the start's floor up reads the
+    # floor entry. A depth between that it skipped is forced here, through
+    # the recorder, so the replay meets every dialogue it reads.
     trajectory = _trajectory(wrapped, s, fresh, rows)
     return HerbrandWitness(
         probes={"apply": list(recorder.table.items())},

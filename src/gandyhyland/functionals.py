@@ -173,19 +173,22 @@ def associate_from_functional(y: Functional) -> Associate:
 
 def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL) -> Functional:
     """Functional evaluating gamma along its argument; its calls share one
-    trie of per-prefix answers.
+    trie of per-prefix answers and one Fuel(fuel_budget).
 
-    Fuel is split. Each apply call spends its own Fuel(fuel_budget), one
-    step per trie level walked, trie hits included, and raises
-    FuelExhausted naming associate_apply and gamma when that runs dry. None
-    of it is charged to an evaluation session that applies this
-    functional: the session's fuel (the CLI's --fuel) bounds the session's
-    own evaluation steps only. The CLI passes --fuel as fuel_budget too.
+    Fuel is split. The functional's applies spend its one budget, one step
+    per trie level walked, trie hits included, and raise FuelExhausted
+    naming associate_apply and gamma when it runs dry; the budget never
+    refills, so it bounds all the scans the functional ever makes, bar
+    searches' settled calls included. None of it is charged to an
+    evaluation session that applies this functional: the session's fuel
+    (the CLI's --fuel) bounds the session's own evaluation steps only. The
+    CLI passes --fuel as fuel_budget too.
     """
     trie: list = [None, {}]
+    fuel = Fuel(fuel_budget)
     context = f"associate_apply({gamma.name})"
     return Functional(
-        apply=lambda alpha: _scan(gamma, alpha, Fuel(fuel_budget), context, trie)[0],
+        apply=lambda alpha: _scan(gamma, alpha, fuel, context, trie)[0],
         name=f"fn({gamma.name})",
     )
 

@@ -547,7 +547,7 @@ def test_trace_then_replay(tmp_path):
     assert main(["replay", "--trace", path]) == 0
 
 
-def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
+def test_deep_trace_and_replay_force_the_depths_eval_gh_skips(tmp_path, capsys):
     # The probe at position 12 skips positions 1..11; a trace that forced
     # them cost exponential work and ran out of fuel here.
     path = str(tmp_path / "deep.trace")
@@ -556,13 +556,15 @@ def test_deep_trace_replays_at_the_cost_of_eval_gh(tmp_path, capsys):
     assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    # Each of evaluating, tracing and replaying spends exactly 115 steps.
+    # Evaluating spends exactly 40 steps: the settling search never reads
+    # depths 1 .. 10, where h and g disagree. Tracing and replaying record
+    # every depth of the trajectory, so each spends exactly 115.
     y = expr_functional("f(12)+1")
+    assert gamma_eval(y, EMPTY, make_session(40, window=14)) == 13
     witness = herbrand_trace(y, EMPTY, make_session(115, window=14))
-    assert gamma_eval(y, EMPTY, make_session(115, window=14)) == 13
     assert replay_check(witness, 115)
     for run in (
-        lambda: gamma_eval(y, EMPTY, make_session(114, window=14)),
+        lambda: gamma_eval(y, EMPTY, make_session(39, window=14)),
         lambda: herbrand_trace(y, EMPTY, make_session(114, window=14)),
         lambda: replay_check(witness, 114),
     ):

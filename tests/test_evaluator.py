@@ -54,7 +54,7 @@ from gandyhyland.cli.fixtures import (
     functional_fixture,
 )
 from gandyhyland.cli.main import read_trace, write_trace
-from gandyhyland.evaluator import _level, _stub_operation
+from gandyhyland.evaluator import _level, _settle, _stub_operation
 from oracles import (
     CERTIFIED_H2_MODULI,
     CERTIFIED_PROJ2_EMPTY_H1,
@@ -268,9 +268,10 @@ def test_trace_replays_cleanly():
 )
 def test_trace_path_work_counts_are_frozen(expr, start, window, work):
     # (applies of Y, trace rows, trajectory rows, depth, result): the
-    # trajectory reads back levels the stabilization search already made,
-    # so it must cost no apply of its own. f(0)+f(1) settles at (0, 2), so
-    # there its three applies are the prefix leaves and no equation check.
+    # trajectory reads back the levels the settling search made and forces
+    # the ones it skipped (75 of the 115 applies of f(12)+1), each once.
+    # f(0)+f(1) settles at (0, 2), so there its three applies are the
+    # prefix leaves and no equation check.
     y = expr_functional(expr)
     applies = 0
 
@@ -704,38 +705,60 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
 # The leaf at (1, 1) is free and h at depth 0 agrees with it, but h at
 # depth 1 does not: a free leaf ends the search at its own length only.
 @example(tree=parse_spec("ifz(f(0), 1, f(1))"), starts=[(1, 1)], window=1, nmax=0)
+# At (1) h and g agree at depths 0 and 1 (worth 2), at 13 (worth 26) and
+# from 14 on (worth 28, free from 15). The top of the first window, 16,
+# agrees, but the run holding it starts at 14, past nmax: the walk down
+# stops where the value changes, not where h and g disagree.
+@example(tree=parse_spec("f(14)+2"), starts=[(1,)], window=16, nmax=13)
+# At (3, 2) g is free from depth 4, where its node reads (3, 2, 0) alone,
+# but the read at the top of the first window, 10, has floor 5: a free
+# read's floor is not always the least free depth.
+@example(tree=parse_spec("0*ifz(f(3), f(f(5)), 0*1)"), starts=[(3, 2)], window=10, nmax=20)
 @given(
     tree=_SHALLOW_AST,
     starts=st.permutations([s.items for s in enumerate_sequences(2, 3)]),
-    window=st.integers(min_value=0, max_value=4),
-    nmax=st.integers(min_value=0, max_value=6),
+    window=st.integers(min_value=0, max_value=12),
+    nmax=st.integers(min_value=0, max_value=12),
 )
 def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, nmax):
     # The search ends at a start's floor, where every later depth reads one
-    # entry, with the memo on or off: the floor is the read's own mark. The
-    # answer must be the least N0 <= nmax over whose window h and g agree
-    # and hold, found by scanning every depth up to nmax+window. Warm floors
-    # left by earlier starts must not end the search early.
+    # entry, with the memo on or off: the floor is the read's own mark. Above
+    # the start's length it reads the depths out of order and skips some.
+    # The answer must still be the least N0 <= nmax over whose window h and
+    # g agree, hold, and are worth want if it is given, found by scanning
+    # every depth up to nmax+window; the search ended on a free read if the
+    # window holds one. Warm floors left by earlier starts and earlier wants
+    # must not end the search early.
     y = functional_from_ast(tree)
     sessions = [make_session(window=window, nmax=nmax, memo_enabled=m) for m in (True, False)]
     for items in starts:
         s = FinSeq(items)
         scan = make_session(memo_enabled=False)
-        pairs = [(h_eval(y, s, n, scan), g_eval(y, s, n, scan)) for n in range(nmax + window + 1)]
-        expected = next(
-            (
-                (n0, hv)
-                for n0, (hv, gv) in enumerate(pairs[: nmax + 1])
-                if hv == gv and len(set(pairs[n0 : n0 + window + 1])) == 1
-            ),
-            None,
-        )
-        for session in sessions:
-            try:
-                got = stabilize(y, s, session)
-            except StabilizationFailed:
-                got = None
-            assert got == expected, (items, session.memo_enabled)
+        pairs, frees = [], []
+        for n in range(nmax + window + 1):
+            hv = h_eval(y, s, n, scan)
+            scan._floor = 0
+            pairs.append((hv, g_eval(y, s, n, scan)))
+            frees.append(n >= len(items) and scan._floor <= n)
+        values = {gv for _, gv in pairs}
+        for want in (None, *sorted(values), max(values) + 1):
+            expected = next(
+                (
+                    (n0, hv, any(frees[n0 : n0 + window + 1]))
+                    for n0, (hv, gv) in enumerate(pairs[: nmax + 1])
+                    if hv == gv
+                    and want in (None, hv)
+                    and len(set(pairs[n0 : n0 + window + 1])) == 1
+                ),
+                None,
+            )
+            for session in sessions:
+                try:
+                    got = _settle(y, s, session, want)
+                except StabilizationFailed as exc:
+                    assert str(exc).endswith("" if want is None else f" with value {want}")
+                    got = None
+                assert got == expected, (items, want, session.memo_enabled)
 
 
 def _outcome(run):
@@ -942,13 +965,13 @@ def _work(session: EvalSession) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "expr, start, window, value, fuel, memo",
     [
-        ("f(12)+1", (), 14, 13, 115, 115),
-        ("f(0)+f(16)*2", (1, 0), 18, 32767, 148, 148),
+        ("f(12)+1", (), 14, 13, 40, 40),
+        ("f(0)+f(16)*2", (1, 0), 18, 32767, 47, 47),
         ("f(f(0))", (), 4, 0, 2, 2),
         # memo None runs without the memo. The search still ends on a free
         # node, so no equation check re-runs the search at each child, and
         # that free g read stands for h at its depth.
-        ("f(12)+1", (), 14, 13, 129, None),
+        ("f(12)+1", (), 14, 13, 54, None),
         # The mark is the read's own: one left by a lower depth's read would
         # end this search late, forcing four more nodes.
         ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 7, None),
@@ -1024,21 +1047,25 @@ def test_levels_above_a_floor_are_free():
 @pytest.mark.parametrize(
     "expr, start, window, evaluate, reads, fuel",
     [
-        ("f(12)+1", (), 14, stabilize, 27, 115),
-        ("f(12)+1", (), 1_000_000, stabilize, 27, 115),
-        ("f(12)+1", (), 14, gamma_eval, 27, 115),
-        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 33, 148),
-        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 33, 148),
+        ("f(12)+1", (), 14, stabilize, 7, 40),
+        ("f(12)+1", (), 1_000_000, stabilize, 7, 40),
+        ("f(12)+1", (), 14, gamma_eval, 7, 40),
+        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 9, 47),
+        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 9, 47),
     ],
 )
 def test_stabilize_reads_no_level_above_a_floor(
     monkeypatch, expr, start, window, evaluate, reads, fuel
 ):
     # Every depth above a start's floor reads one entry, so the search ends
-    # there, however wide the window, on a g read alone. The reads it skips were memo hits:
-    # the fuel is what a scan of every depth up to N0+window spends. A
-    # block's child reads go through _level too; only outermost calls,
-    # the level reads, are counted.
+    # there, however wide the window, on a g read alone. Above the start's
+    # length it reads the top of a window first. For f(12)+1 that is g at
+    # 0 + 14, free with floor 13, so the search walks down from 12 and
+    # stops at 11, where h and g disagree: the g chains of depths 1 .. 10,
+    # which the dense scan forced, are never read. The seven reads are the
+    # leaf and h at 0, g at 14, and h and g at 12 and 11. A block's child
+    # reads go through _level too; only outermost calls, the level reads,
+    # are counted.
     outermost = nesting = 0
 
     def counting(*args):

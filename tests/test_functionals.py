@@ -267,12 +267,13 @@ def test_functional_from_associate_answers_each_prefix_once(table, calls, budget
         return decide(sigma)
 
     plain = Associate(decide, name="table")
+    # The functional's calls spend one budget between them, as one scan
+    # each of the plain associate, on one fuel, spends it.
+    fuel = Fuel(budget)
 
     def settled_directly(sigma: FinSeq) -> int | None:
-        alpha = pad(sigma, 0)
-        value = associate_apply(plain, alpha, Fuel(budget))
-        depth = modulus_from_associate(plain, alpha, Fuel(budget))
-        return value if depth <= len(sigma) else None
+        depth = modulus_from_associate(plain, pad(sigma, 0), fuel)
+        return decide(FinSeq(sigma.items[:depth])) - 1 if depth <= len(sigma) else None
 
     y = functional_from_associate(Associate(counting, name="counted table"), budget)
     # Every call twice, applies and settled calls interleaved, so later
@@ -285,7 +286,7 @@ def test_functional_from_associate_answers_each_prefix_once(table, calls, budget
         else:
             alpha = pad(FinSeq(items), tail)
             got = _outcome(lambda: y.apply(alpha))
-            expected = _outcome(lambda: associate_apply(plain, alpha, Fuel(budget)))
+            expected = _outcome(lambda: associate_apply(plain, alpha, fuel))
         assert got == expected
     assert all(n == 1 for n in asked.values())
 
