@@ -72,11 +72,11 @@ class EvalSession:
     _force) to its floor, the depth its one entry is keyed at; with
     memo_enabled off it stays empty too. _gamma holds the gamma values
     certified so far, together with the depth at which they stabilized
-    (see gamma_eval). _prefix maps each stabilized sequence s
-    to its prefix levels, h at s for the depths 0 .. len(s) that stabilize
-    has read, each the leaf at s's prefix of that length. It is filled
-    only with memo_enabled on, where each of its reads stands in for a
-    memo hit.
+    (see gamma_eval). _prefix maps each sequence s the settling search has
+    met to the levels it read from depth 0 up, at most to len(s), so the
+    list may stop short of len(s): h at s, each the leaf at s's prefix of
+    that length (see stabilize). It is filled only with memo_enabled on,
+    where each of its reads stands in for a memo hit.
 
     A session serves exactly one functional: mixing two would silently
     cross-contaminate the memo, so the first functional seen claims the
@@ -90,8 +90,8 @@ class EvalSession:
     there up, for every kind. d + 1 says it holds at d only, for h and g
     alike; d + 2 that it holds at d only, for its own kind. _level and
     _force raise it. _force reads it, and so does the settling search (see
-    stabilize), which zeroes it before a level read at the top and takes
-    what it holds after as that read's mark.
+    stabilize), which zeroes it before a g read and takes what it holds
+    after as that read's mark.
     """
 
     fuel: Fuel = field(default_factory=lambda: Fuel(DEFAULT_SESSION_FUEL))
@@ -292,34 +292,30 @@ def stabilize(y: Functional, s: FinSeq, session: EvalSession) -> tuple[int, int]
     required to work for both; the truncating one typically needs a few
     extra levels to stop cutting into s.
 
-    At every N <= len(s), g_eval is the one leaf at s, applied once before
-    the search (which also claims the session), and h_eval is the leaf at
-    s's length-N prefix. The parent s[:-1], if stabilized, has read those
-    leaves for every N < len(s): s's list in session._prefix starts as a
-    copy of the parent's cut to len(s), and the search reads the depths it
-    holds from there and appends the next ones up to len(s). Each read it
-    skips would have been a memo hit: no node, fuel step or apply moves.
+    The search reads the top of a window first. With run_start the least
+    depth where a run could still start, every run starting from there to
+    p = run_start+window holds at p. If h and g disagree at p (or, given
+    want, miss it), none of them is the answer: the depths below p are
+    never read, and run_start moves to p+1. If they agree, the search walks
+    down from p to the start of the run holding p, the new run_start. So N0
+    is the least start, as a scan of every depth finds it. One rule orders
+    the reads: no top above len(s) is read before depth len(s).
 
-    The depths up to len(s) are read in order. Above it g is a block,
-    whose read of a far position forces a fresh chain of nodes, so the
-    search reads the top of a window first (see _settle_above). With
-    run_start the least depth where a run could still start, every run
-    starting from there to p = run_start+window holds at p. If h and g
-    disagree at p (or, given want, miss it), none of them is the answer:
-    the depths below p are never read, and run_start moves to p+1. If they
-    agree, the search walks down from p to the start of the run holding p,
-    which becomes run_start. So N0 is unchanged: no depth skipped starts a
-    run, and the walk down stops at the least start that can.
+    At every N <= len(s), g is the one leaf at s, applied before the search
+    (which also claims the session), and h the leaf at s's length-N prefix,
+    read in order into s's list in session._prefix. That list starts as a
+    copy of the parent's (s[:-1]) cut to len(s), each entry a memo hit
+    saved. Above len(s) g is a block, whose read of a far position forces
+    a fresh chain of nodes: that is the work a skipped depth saves.
 
     The search ends at the start's floor: once the node at s read at a
     depth n >= len(s) is free, its mark (session._floor after the read,
     see EvalSession) being at most n, h and g take its one value at every
     depth from n up, so the run holding at n never breaks. At n = len(s)
-    that node is the leaf at s, read before the search. The run is the
-    answer if it starts at or below nmax; otherwise no window can, and the
-    search fails as a scan of every depth up to nmax+window would. The
-    mark is the read's own, with the memo on or off, so both end at the
-    same depth.
+    that node is the leaf at s. The run is the answer if it starts at or
+    below nmax; otherwise no window can, and the search fails as a scan of
+    every depth up to nmax+window would. The mark is the read's own, with
+    the memo on or off, so both end at the same depth.
     """
     return _settle(y, s, session)[:2]
 
@@ -330,92 +326,65 @@ def _settle(
     """stabilize's (N0, value), and whether the read that ended the search
     was a free node. Given want, a run not worth want is a mismatch, so N0
     starts the first plateau holding want; StabilizationFailed names want,
-    at once if a free read (which every deeper depth reads) misses it."""
+    at once if a free read (which every deeper depth reads) misses it.
+
+    read gives (h, g, mark of the g read) at a depth; at or below k =
+    len(s) the mark is the leaf's at k and d + 1 below. n is the least
+    depth not read, and last the value h and g hold from run_start to
+    n - 1. A walk down stops at n, and if it gets there and last is the
+    top's value, the run goes on below, so run_start stays; with
+    run_start = n, last is stale but unused, as the run starts at n either
+    way. A free top has every depth from its mark up read one entry, so the
+    walk starts below that mark.
+    """
     session._floor = 0
     leaf = g_eval(y, s, 0, session)
+    leaf_mark = session._floor
     items = s.items
     k = len(items)
-    leaf_free = session._floor <= k
     levels = session._prefix.get(items[:-1], [])[:k]
     if session.memo_enabled:
         levels = session._prefix.setdefault(items, levels)
+
+    def read(d: int) -> tuple[int, int, int]:
+        if d > k:
+            return _depth_pair(y, items, d, session)
+        while len(levels) <= d:
+            levels.append(_level(y, items, len(levels), session, "h"))
+        return levels[d], leaf, leaf_mark if d == k else d + 1
+
     window, nmax = session.window, session.nmax
-    wanted = want is None or leaf == want
-    run_start = 0
-    for n in range(min(k, nmax + window) + 1):
-        if n < len(levels):
-            hv = levels[n]
-        else:
-            hv = _level(y, items, n, session, "h")
-            levels.append(hv)
-        free = n == k and leaf_free
-        if hv != leaf or not wanted:
-            if free:
-                break
-            run_start = n + 1
-        elif n - run_start >= window or free:
-            if run_start > nmax:
-                break
-            return run_start, leaf, free
-    else:
-        found = _settle_above(y, items, session, want, run_start, leaf)
-        if found is not None:
-            return found
-    raise StabilizationFailed(
-        f"no stable window of width {window + 1} below depth {nmax} "
-        f"for {y.name} at {list(s.items)}" + ("" if want is None else f" with value {want}")
-    )
-
-
-def _settle_above(
-    y: Functional,
-    items: tuple[int, ...],
-    session: EvalSession,
-    want: int | None,
-    run_start: int,
-    leaf: int,
-) -> tuple[int, int, bool] | None:
-    """_settle's search above the start's length k, where g is a block;
-    None where _settle fails. run_start is the least depth where a run
-    could still start: the start of the run of the leaf's value through
-    depth k, if that is at most k.
-
-    Each round reads p = run_start + window first (see stabilize). If p
-    disagrees, run_start moves past it. If p agrees, the search walks down
-    from p until a depth breaks the run, and the run's start becomes
-    run_start; the next round's top then completes the run or breaks it.
-    A walk down stops at n, above every depth read or ruled out before. A
-    free p has every depth from its floor up read one entry, so the walk
-    down starts below that floor, and the run, which holds p, ends on a
-    free read.
-    """
-    k = len(items)
-    window, nmax = session.window, session.nmax
-    last = leaf if run_start <= k else None
-    n = k + 1
+    run_start = n = 0
+    last = None
     while run_start <= nmax:
         p = run_start + window
         if p < n:
             return run_start, last, False
-        hv, gv, mark = _depth_pair(y, items, p, session)
+        if n <= k < p:
+            p = k
+        hv, gv, mark = read(p)
         if hv != gv or (want is not None and gv != want):
             if mark <= p:
-                return None
+                break
             run_start = n = p + 1
-            last = None
             continue
         d = (max(mark, n) if mark <= p else p) - 1
         while d >= n:
-            hd, gd, _ = _depth_pair(y, items, d, session)
+            hd, gd, _ = read(d)
             if hd != gd or gd != gv:
                 break
             d -= 1
         if d >= n or last != gv:
             run_start = d + 1
         if mark <= p:
-            return (run_start, gv, True) if run_start <= nmax else None
+            if run_start <= nmax:
+                return run_start, gv, True
+            break
         last, n = gv, p + 1
-    return None
+    raise StabilizationFailed(
+        f"no stable window of width {window + 1} below depth {nmax} "
+        f"for {y.name} at {list(s.items)}" + ("" if want is None else f" with value {want}")
+    )
 
 
 def _depth_pair(
@@ -512,9 +481,9 @@ def ghs_witness(
     the stable value and the floor is at or below n, every depth above n
     reads the same entry, so the window agrees through its top. A floor
     of s is at least len(s), so it is looked up only from there: each
-    lookup hashes all of s. Depths up
-    to len(s) are read from the candidate's list of prefix levels (see
-    stabilize), which gamma_eval has filled.
+    lookup hashes all of s. The depths that the candidate's list of prefix
+    levels holds (see EvalSession), filled by its settling search, are read
+    from that list.
 
     One rule skips work: a candidate is skipped when its parent (its items
     less the last) is a free leaf, floors[p] == len(p) (see _force), or was
@@ -700,10 +669,10 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
             f"herbrand_trace({y.name}): the trajectory holds {rows} rows, "
             f"more than the fuel budget of {fresh.fuel.budget} steps"
         )
-    # The search read the depths up to the start's length as the leaves of
-    # its prefixes, and every depth from the start's floor up reads the
-    # floor entry. A depth between that it skipped is forced here, through
-    # the recorder, so the replay meets every dialogue it reads.
+    # The search read every row up to the start's length, in order, as the
+    # leaves of its prefixes, and every depth from the start's floor up
+    # reads the floor entry. A row between that it skipped is forced here,
+    # through the recorder, so the replay meets every dialogue it reads.
     trajectory = _trajectory(wrapped, s, fresh, rows)
     return HerbrandWitness(
         probes={"apply": list(recorder.table.items())},

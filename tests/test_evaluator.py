@@ -714,21 +714,35 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
 # but the read at the top of the first window, 10, has floor 5: a free
 # read's floor is not always the least free depth.
 @example(tree=parse_spec("0*ifz(f(3), f(f(5)), 0*1)"), starts=[(3, 2)], window=10, nmax=20)
+# The start is longer than the first window. h and g are worth 1 at depths
+# 0 .. 5, its length, and 2 from 6 on, free from 7. Without want the first
+# window answers; given want 2, depth 5 is read before the top above it,
+# 10. The run worth 2 starts at 6, past nmax 5 and below nmax 12.
+@example(tree=parse_spec("f(6)+1"), starts=[(6, 5, 4, 3, 2)], window=4, nmax=5)
+@example(tree=parse_spec("f(6)+1"), starts=[(6, 5, 4, 3, 2)], window=4, nmax=12)
 @given(
     tree=_SHALLOW_AST,
-    starts=st.permutations([s.items for s in enumerate_sequences(2, 3)]),
+    starts=st.permutations([s.items for s in enumerate_sequences(2, 3)])
+    | st.lists(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=6).map(tuple),
+        min_size=1,
+        max_size=4,
+    ),
     window=st.integers(min_value=0, max_value=12),
     nmax=st.integers(min_value=0, max_value=12),
 )
 def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, nmax):
     # The search ends at a start's floor, where every later depth reads one
-    # entry, with the memo on or off: the floor is the read's own mark. Above
-    # the start's length it reads the depths out of order and skips some.
-    # The answer must still be the least N0 <= nmax over whose window h and
-    # g agree, hold, and are worth want if it is given, found by scanning
-    # every depth up to nmax+window; the search ended on a free read if the
-    # window holds one. Warm floors left by earlier starts and earlier wants
-    # must not end the search early.
+    # entry, with the memo on or off: the floor is the read's own mark. It
+    # reads a window's top first and skips the depths below a top where h
+    # and g disagree, but reads no top above the start's length before that
+    # length. The answer must still be the least N0 <= nmax over whose
+    # window h and g agree, hold, and are worth want if it is given, found
+    # by scanning every depth up to nmax+window; the search ended on a free
+    # read if the window holds one. Warm floors left by earlier starts and
+    # earlier wants must not end the search early. The memo session's list
+    # of prefix levels at each start, which ghs_witness reads as memo hits,
+    # must hold h from depth 0 up, and at most to the start's length.
     y = functional_from_ast(tree)
     sessions = [make_session(window=window, nmax=nmax, memo_enabled=m) for m in (True, False)]
     for items in starts:
@@ -759,6 +773,9 @@ def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, n
                     assert str(exc).endswith("" if want is None else f" with value {want}")
                     got = None
                 assert got == expected, (items, want, session.memo_enabled)
+        levels = sessions[0]._prefix[items]
+        assert len(levels) <= len(items) + 1
+        assert levels == [hv for hv, _ in pairs[: len(levels)]], items
 
 
 def _outcome(run):
@@ -1058,14 +1075,14 @@ def test_stabilize_reads_no_level_above_a_floor(
     monkeypatch, expr, start, window, evaluate, reads, fuel
 ):
     # Every depth above a start's floor reads one entry, so the search ends
-    # there, however wide the window, on a g read alone. Above the start's
-    # length it reads the top of a window first. For f(12)+1 that is g at
-    # 0 + 14, free with floor 13, so the search walks down from 12 and
-    # stops at 11, where h and g disagree: the g chains of depths 1 .. 10,
-    # which the dense scan forced, are never read. The seven reads are the
-    # leaf and h at 0, g at 14, and h and g at 12 and 11. A block's child
-    # reads go through _level too; only outermost calls, the level reads,
-    # are counted.
+    # there, however wide the window, on a g read alone. It reads the top of
+    # a window first, but none above the start's length before that length.
+    # For f(12)+1 at () that is depth 0, then g at 0 + 14, free with floor
+    # 13, so the search walks down from 12 and stops at 11, where h and g
+    # disagree: the g chains of depths 1 .. 10, which the dense scan forced,
+    # are never read. The seven reads are the leaf and h at 0, g at 14, and
+    # h and g at 12 and 11. A block's child reads go through _level too;
+    # only outermost calls, the level reads, are counted.
     outermost = nesting = 0
 
     def counting(*args):
