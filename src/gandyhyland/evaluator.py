@@ -46,6 +46,7 @@ from .functionals import (
     Associate,
     Fuel,
     Functional,
+    _apply_padded,
     epsilon_flag,
     gamma_flag,
 )
@@ -212,18 +213,20 @@ def _force(
     context, and its value must be a natural before it is written.
 
     At length depth the node is a leaf, Y at items padded with the kind's
-    pad value (one for hhat, else zero). Shorter items get a block: items, a
-    zero, then the child at items+(j,) at position len(items)+j for j = 1
-    .. depth (for every j in g, which does not truncate), then the pad
-    value. A child is read through _level.
+    pad value (one for hhat, else zero), applied through the padded read
+    that settled makes. Shorter items get a block: items, a zero, then the
+    child at items+(j,) at position len(items)+j for j = 1 .. depth (for
+    every j in g, which does not truncate), then the pad value. A child is
+    read through _level.
 
-    session._floor gathers the node's mark (see EvalSession). A leaf starts
-    at len(items): Y read items alone, which the leaf and the block at
-    items share at every depth. A block starts at len(items)+1, and each j
-    it reads raises the mark to at least j: from there up it is still a
-    block whose reads land on the same children. A leaf's pad read marks
-    depth + 1, since past depth the node is a block; a block's read at
-    j > depth marks depth + 2, the only place where h pads and g reads on.
+    A leaf's mark (see EvalSession) is len(items) if Y read items alone,
+    which the leaf and the block at items share at every depth, so the
+    leaf is free exactly where settled holds; it is depth + 1 if Y read
+    past them, since past depth the node is a block. session._floor
+    gathers a block's mark. It starts at len(items)+1, and each j it reads
+    raises the mark to at least j: from there up it is still a block whose
+    reads land on the same children. A read at j > depth marks depth + 2,
+    the only place where h pads and g reads on.
     A node marked depth + 2 is written at its depth under its own kind, one
     marked depth + 1 under the shared key kind, so it serves h and g alike
     (an h and a g node that disagree there are a memo overwrite). Any other
@@ -236,38 +239,31 @@ def _force(
     k = len(items)
     pad_value = 1 if kind == "hhat" else 0
     outer = session._floor
-    try:
-        if k >= depth:
-            session._floor = k
+    if k >= depth:
+        value, past = _apply_padded(y, items, pad_value)
+        floor = depth + 1 if past else k
+    else:
+        truncating = kind != "g"
 
-            def leaf(i: int) -> int:
-                if i < k:
-                    return items[i]
-                session._floor = depth + 1
-                return pad_value
+        def gen(i: int) -> int:
+            if i < k:
+                return items[i]
+            if i == k:
+                return 0
+            j = i - k
+            if j > depth:
+                session._floor = depth + 2
+                if truncating:
+                    return pad_value
+            elif j > session._floor:
+                session._floor = j
+            return _level(y, items + (j,), depth, session, kind)
 
-            value = y.apply(Point(leaf, lambda: f"{list(items)}*{pad_value}.."))
-        else:
-            session._floor = k + 1
-            truncating = kind != "g"
-
-            def gen(i: int) -> int:
-                if i < k:
-                    return items[i]
-                if i == k:
-                    return 0
-                j = i - k
-                if j > depth:
-                    session._floor = depth + 2
-                    if truncating:
-                        return pad_value
-                elif j > session._floor:
-                    session._floor = j
-                return _level(y, items + (j,), depth, session, kind)
-
+        session._floor = k + 1
+        try:
             value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
-    finally:
-        floor, session._floor = session._floor, outer
+        finally:
+            floor, session._floor = session._floor, outer
     if not isinstance(value, int) or value < 0:
         raise ValueError(f"{kind}-node {list(items)}@{depth} produced non-natural {value!r}")
     if floor > depth + 1:
@@ -325,8 +321,7 @@ def _settle(
 ) -> tuple[int, int, bool]:
     """stabilize's (N0, value), and whether the read that ended the search
     was a free node. Given want, a run not worth want is a mismatch, so N0
-    starts the first plateau holding want; StabilizationFailed names want,
-    at once if a free read (which every deeper depth reads) misses it.
+    starts the first plateau holding want; StabilizationFailed names want.
 
     read gives (h, g, mark of the g read) at a depth; at or below k =
     len(s) the mark is the leaf's at k and d + 1 below. n is the least
@@ -364,8 +359,6 @@ def _settle(
             p = k
         hv, gv, mark = read(p)
         if hv != gv or (want is not None and gv != want):
-            if mark <= p:
-                break
             run_start = n = p + 1
             continue
         d = (max(mark, n) if mark <= p else p) - 1
@@ -470,12 +463,12 @@ def ghs_witness(
     StabilizationFailed if no K at or below nmax passes. K is tried
     upwards, and at each K the rows m = K .. K+window in order, stopping at
     the first candidate that disagrees somewhere in the window. Each
-    candidate keeps [items, stable value, next depth to compare, first
-    disagreeing depth found or -1], shared by every row that lists it: all
-    depths from K up to the next one were compared, and agree except the
-    disagreeing one if that is at or above K. So each gamma_eval and each
-    h_eval comparison is made once, and a K whose window holds a known
-    disagreement fails at once.
+    candidate keeps [items, stable value, next depth to compare], shared by
+    every row that lists it: every depth from K up to below the next one
+    was compared and agrees. A comparison that fails leaves the next depth
+    at the failing one, so a later K compares it again, a memo hit with the
+    memo on. So each gamma_eval is made once, and each comparison that
+    agrees once.
 
     A candidate's comparisons stop at its floor: once h at depth n equals
     the stable value and the floor is at or below n, every depth above n
@@ -503,7 +496,9 @@ def ghs_witness(
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
     is raised before any listing; counting stops once it does, and spends
-    no fuel.
+    no fuel. It is raised too if the window's window+1 rows exceed the fuel
+    left, as neither listing a row nor a comparison that hits the memo
+    spends any.
     """
     left = session.fuel.remaining
     count = 0
@@ -514,8 +509,13 @@ def ghs_witness(
                 f"ghs_witness({y.name}): candidate tails up to length {tlen} hold "
                 f"{count} entries, more than the {left} fuel steps left"
             )
-    session.claim(y)
     window = session.window
+    if window + 1 > left:
+        raise FuelExhausted(
+            f"ghs_witness({y.name}): a window holds {window + 1} rows, "
+            f"more than the {left} fuel steps left"
+        )
+    session.claim(y)
     floors, prefix = session._floors, session._prefix
     tails = [
         tail
@@ -544,11 +544,9 @@ def ghs_witness(
                             break
                     else:
                         row += [items + tail for tail in tails]
-                rows.append([known.setdefault(t, [t, None, 0, -1]) for t in row])
+                rows.append([known.setdefault(t, [t, None, 0]) for t in row])
             for state in rows[m]:
-                items, value, n, bad = state
-                if bad >= k0:
-                    break
+                items, value, n = state
                 parent = items[:-1]
                 if parent in skipped or floors.get(parent) == len(parent):
                     skipped.add(items)
@@ -562,10 +560,9 @@ def ghs_witness(
                     if hv != value:
                         break
                     n = top + 1 if n >= len(items) and floors.get(items, n + 1) <= n else n + 1
-                if n <= top:
-                    state[2:] = n + 1, n
-                    break
                 state[2] = n
+                if n <= top:
+                    break
             else:
                 continue
             break
@@ -595,8 +592,9 @@ class HerbrandWitness:
     so no other group exists; the key keeps the trace file's shape
     probes.apply. depth and result are the stabilization depth and stable
     value of the traced run; trajectory holds (depth, truncating value,
-    non-truncating value) for every depth the stabilization search
-    visited. The trajectory matters for tamper detection: an answer
+    non-truncating value) for every depth up to depth+window, those the
+    settling search skipped included, which herbrand_trace forces (see
+    _trajectory). The trajectory matters for tamper detection: an answer
     consumed only below the settling depth leaves depth and result alone
     but shows up as a changed entry here. seq, window and nmax are the run:
     the start sequence and the settling knobs the trace was made under,

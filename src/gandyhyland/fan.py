@@ -27,8 +27,8 @@ from itertools import product
 from typing import Callable
 
 from .errors import DepthExceeded
-from .functionals import Fuel, Functional, settled
-from .sequences import FinSeq, Point, _from_trusted_tuple, constant_point, pad, take
+from .functionals import Fuel, Functional, _apply_padded
+from .sequences import FinSeq, Point, constant_point, pad, take
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def _bar_values(
             if all(bound(k + i) == b for i, b in enumerate(entry[0])):
                 return entry
         fuel.spend(context)
-        value = settled(y, _from_trusted_tuple(items))
-        if value is not None:
+        value, past = _apply_padded(y, items, 0)
+        if not past:
             entry = ((), frozenset((value,)), -1)
         else:
             top = bound(len(items))

@@ -1,10 +1,12 @@
 """Type-two functionals, their countable associates, and bounded search.
 
 A Functional wraps a total continuous operation on points; settled reads
-its continuity off what it reads. An Associate is the countable face of
-the same thing: a query on finite prefixes answering 0 for "not yet
-decided" and v+1 for "decided, value v". The two directions of the
-correspondence are associate_from_functional and functional_from_associate.
+its continuity off what it reads, through the one padded read that the
+bar search and the evaluator's leaves make too. An Associate is the
+countable face of the same thing: a query on finite prefixes answering 0
+for "not yet decided" and v+1 for "decided, value v". The two directions
+of the correspondence are associate_from_functional and
+functional_from_associate.
 
 All possibly-unbounded scans take a Fuel budget and raise FuelExhausted
 instead of diverging.
@@ -141,11 +143,9 @@ def check_neighbourhood(gamma: Associate, depth: int, width: int) -> bool:
     return walk(EMPTY, 0)
 
 
-def settled(y: Functional, sigma: FinSeq) -> int | None:
-    """y's value at sigma's zero-padding if no read of that one apply went
-    past sigma, so that every extension of sigma has it too; None otherwise.
-    """
-    items = sigma.items
+def _apply_padded(y: Functional, items: tuple[int, ...], pad: int) -> tuple[int, bool]:
+    """y applied once to items padded with pad, and whether that apply read
+    past items."""
     k = len(items)
     past = False
 
@@ -154,9 +154,18 @@ def settled(y: Functional, sigma: FinSeq) -> int | None:
         if n < k:
             return items[n]
         past = True
-        return 0
+        return pad
 
-    value = y.apply(Point(gen, lambda: f"{list(items)}*0.."))
+    value = y.apply(Point(gen, lambda: f"{list(items)}*{pad}.."))
+    return value, past
+
+
+def settled(y: Functional, sigma: FinSeq) -> int | None:
+    """y's value at sigma's zero-padding if no read of that one apply went
+    past sigma, so that every extension of sigma has it too; None otherwise.
+    An evaluator leaf makes the same read with its kind's pad, so it is free
+    exactly where settled holds."""
+    value, past = _apply_padded(y, sigma.items, 0)
     return None if past else value
 
 
@@ -208,29 +217,17 @@ def _flag_associate(h: Point, offset: int, name: str) -> Associate:
 
     A prefix sigma decides once h fires strictly below |sigma|, i.e. there
     is a least n < |sigma| with h(n) != 0; the decision is offset + sigma(n).
-    The search for the firing index is incremental and cached so repeated
-    queries stay cheap on long prefixes.
-    """
-    state: dict[str, int | None] = {"frontier": 0, "found": None}
-
-    def first_firing_below(m: int) -> int | None:
-        found = state["found"]
-        if found is not None:
-            return found if found < m else None
-        frontier = state["frontier"]
-        while frontier < m:
-            if h.value_at(frontier) != 0:
-                state["found"] = frontier
-                return frontier
-            frontier += 1
-        state["frontier"] = frontier
-        return None
+    h's values read so far are kept in one list, which a query extends up
+    to |sigma| but not past a nonzero, so each position is read once."""
+    read: list[int] = []
 
     def query(sigma: FinSeq) -> int:
-        n0 = first_firing_below(len(sigma))
-        if n0 is None:
-            return 0
-        return offset + sigma[n0]
+        m = len(sigma)
+        while len(read) < m and not (read and read[-1]):
+            read.append(h.value_at(len(read)))
+        if read and read[-1] and len(read) <= m:
+            return offset + sigma[len(read) - 1]
+        return 0
 
     return Associate(query, name=name)
 

@@ -42,7 +42,9 @@ from gandyhyland import (
     mu,
     mu_from_gh_ext,
     mu_from_modulus,
+    pad,
     replay_check,
+    settled,
     stabilize,
 )
 from gandyhyland.cli.dsl import Add, Ifz, Least, Lit, Mul, Probe, functional_from_ast, parse_spec
@@ -720,6 +722,10 @@ def test_floor_entries_are_observationally_transparent(tree, starts, shuffled):
 # 10. The run worth 2 starts at 6, past nmax 5 and below nmax 12.
 @example(tree=parse_spec("f(6)+1"), starts=[(6, 5, 4, 3, 2)], window=4, nmax=5)
 @example(tree=parse_spec("f(6)+1"), starts=[(6, 5, 4, 3, 2)], window=4, nmax=12)
+# At () h and g are worth 1 at depth 0 alone and 3 from depth 2, free from
+# 3. Given want 1, the free top at 3 misses it, and so does every top above
+# it up to nmax: the search fails as the scan does, with the memo on or off.
+@example(tree=parse_spec("f(2)+1"), starts=[()], window=1, nmax=12)
 @given(
     tree=_SHALLOW_AST,
     starts=st.permutations([s.items for s in enumerate_sequences(2, 3)])
@@ -776,6 +782,24 @@ def test_stabilize_ends_at_a_floor_as_the_full_scan_ends(tree, starts, window, n
         levels = sessions[0]._prefix[items]
         assert len(levels) <= len(items) + 1
         assert levels == [hv for hv, _ in pairs[: len(levels)]], items
+
+
+@given(
+    tree=_SHALLOW_AST,
+    start=st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(FinSeq),
+)
+def test_a_leaf_is_free_exactly_where_settled_holds(tree, start):
+    # The leaf at s applies Y once to s padded with its kind's pad, the read
+    # settled makes: it is free, written at its length, exactly when settled
+    # holds at s, and h and g there are Y at the zero-padding, hhat Y at the
+    # one-padding.
+    y = functional_from_ast(tree)
+    session = make_session()
+    k = len(start)
+    assert h_eval(y, start, k, session) == y.apply(pad(start, 0))
+    assert (session._floors.get(start.items) == k) == (settled(y, start) is not None)
+    assert g_eval(y, start, k, session) == y.apply(pad(start, 0))
+    assert h_hat_eval(y, start, k, session) == y.apply(pad(start, 1))
 
 
 def _outcome(run):
@@ -936,7 +960,8 @@ def _reach(tree) -> int:
 
 @settings(deadline=None)
 # At zeros, K = 0 finds the candidate (0, 1) agreeing at depths 0 and 1
-# but not at 2, so K = 1 must fail on it too without comparing again.
+# but not at 2, so K = 1 must fail on it too: it compares depth 2 again,
+# which with the memo on is a memo hit.
 @example(
     tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"),
     period=[0],
@@ -965,6 +990,16 @@ def test_ghs_witness_is_the_least_uniform_depth(tree, period, value_cap, tail_ca
         session = make_session(window=window, nmax=reach, memo_enabled=memo_enabled)
         got = ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=tail_cap)
         assert got == expected, memo_enabled
+
+
+def test_ghs_witness_compares_a_failing_depth_again_for_no_fuel():
+    # The example above, with the memo on: K = 1 reads (0, 1) at depth 2
+    # back from the memo, so the run spends no step on comparing it again.
+    y = expr_functional("f(1)*3*ifz(f(4), 3, f(2))")
+    session = make_session(window=4, nmax=5)
+    zeros = Point(lambda _i: 0, name="periodic [0]")
+    assert ghs_witness(y, zeros, session, value_cap=1, tail_cap=1) == 2
+    assert _work(session) == (88, 88)
 
 
 def test_memo_is_write_once():
@@ -1140,6 +1175,20 @@ def test_ghs_refuses_candidate_tails_that_fuel_cannot_cover(fuel, tlen, entries)
         f"entries, more than the {fuel} fuel steps left"
     )
     assert session.fuel.remaining == fuel
+
+
+def test_ghs_refuses_a_window_with_more_rows_than_fuel():
+    # Listing a row and comparing a memo hit spend no fuel, so the window's
+    # window+1 rows are checked against the fuel left before any is listed.
+    y = functional_fixture("proj2")
+    assert ghs_witness(y, constant_point(0), make_session(1000, window=999)) == 3
+    session = make_session(1000, window=1000)
+    with pytest.raises(FuelExhausted) as exc:
+        ghs_witness(y, constant_point(0), session)
+    assert str(exc.value) == (
+        "ghs_witness(f(2)): a window holds 1001 rows, more than the 1000 fuel steps left"
+    )
+    assert session.fuel.remaining == 1000
 
 
 def test_trace_refuses_a_trajectory_longer_than_its_fuel_budget():
