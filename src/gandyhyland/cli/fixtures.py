@@ -59,9 +59,7 @@ def functional_fixture(name: str, m0: int = 3, fuel_budget: int = DEFAULT_FUEL) 
     usage problem rather than an evaluation failure.
     """
     if name in FLAG_FIXTURES:
-        assoc = flag_associate(name, m0)
-        fn = functional_from_associate(assoc, fuel_budget)
-        return Functional(apply=fn.apply, name=assoc.name)
+        return functional_from_associate(flag_associate(name, m0), fuel_budget)
     text = EXPR_FIXTURES.get(name)
     if text is None:
         known = ", ".join(sorted(EXPR_FIXTURES) + list(FLAG_FIXTURES))

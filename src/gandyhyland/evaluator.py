@@ -343,7 +343,11 @@ def _settle(
 
     def read(d: int) -> tuple[int, int, int]:
         if d > k:
-            return _depth_pair(y, items, d, session)
+            session._floor = 0
+            gv = _level(y, items, d, session, "g")
+            mark = session._floor
+            # A free g node reads no pad or child past d: h reads the same.
+            return (gv if mark <= d else _level(y, items, d, session, "h")), gv, mark
         while len(levels) <= d:
             levels.append(_level(y, items, len(levels), session, "h"))
         return levels[d], leaf, leaf_mark if d == k else d + 1
@@ -378,18 +382,6 @@ def _settle(
         f"no stable window of width {window + 1} below depth {nmax} "
         f"for {y.name} at {list(s.items)}" + ("" if want is None else f" with value {want}")
     )
-
-
-def _depth_pair(
-    y: Functional, items: tuple[int, ...], n: int, session: EvalSession
-) -> tuple[int, int, int]:
-    """(h, g, mark of the g read) at items and depth n > len(items)."""
-    session._floor = 0
-    gv = _level(y, items, n, session, "g")
-    mark = session._floor
-    # A free g node reads no pad or child past n: h reads the same.
-    hv = gv if mark <= n else _level(y, items, n, session, "h")
-    return hv, gv, mark
 
 
 def _rhs(gamma: Callable[[FinSeq], int], y: Functional, s: FinSeq) -> int:
@@ -588,7 +580,8 @@ class HerbrandWitness:
     """Finite record of one gamma_eval run.
 
     probes holds one answer table, under "apply": the (dialogue, answer)
-    rows of Y's calls in first-seen order. gamma_eval only ever applies Y,
+    rows of Y's calls in first-seen order, each dialogue read off the point
+    Y was applied to (see herbrand_trace). gamma_eval only ever applies Y,
     so no other group exists; the key keeps the trace file's shape
     probes.apply. depth and result are the stabilization depth and stable
     value of the traced run; trajectory holds (depth, truncating value,
@@ -610,44 +603,14 @@ class HerbrandWitness:
     nmax: int
 
 
-class _Recorder:
-    """Wraps a functional's apply to log the dialogue of each call in one
-    table, which maps each dialogue to its answer.
-
-    A call's dialogue is the (position, value) pairs apply read, in the
-    order it read them. The wrapper point caches, so each position is
-    logged once; positions apply skipped are never forced. Equal dialogues
-    must repeat their answer (apply is deterministic) and are stored once.
-    """
-
-    def __init__(self) -> None:
-        self.table: dict[Dialogue, int] = {}
-
-    def wrap(self, inner: Callable[[Point], int]) -> Callable[[Point], int]:
-        table = self.table
-
-        def wrapped(point: Point) -> int:
-            reads: list[tuple[int, int]] = []
-
-            def gen(i: int) -> int:
-                v = point.value_at(i)
-                reads.append((i, v))
-                return v
-
-            answer = inner(Point(gen, lambda: f"traced {point.name}"))
-            dialogue = tuple(reads)
-            prev = table.setdefault(dialogue, answer)
-            if prev != answer:
-                raise InvariantViolation(
-                    f"apply answered {prev} then {answer} on equal reads {dialogue}"
-                )
-            return answer
-
-        return wrapped
-
-
 def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWitness:
     """Run gamma_eval at s on a fresh session, recording every oracle call.
+
+    Every point the run applies Y to is made for that one call, so when Y
+    returns, the point's reads (Point.reads) are the call's dialogue:
+    positions Y skipped were never forced, and one read twice is logged
+    once. The table maps each dialogue to its answer; equal dialogues must
+    repeat their answer (Y is deterministic) and are stored once.
 
     The trajectory holds depth+window+1 rows. The rows the settling search
     read are memo hits, which spend no fuel; the ones it skipped (see
@@ -656,8 +619,19 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
     fuel, FuelExhausted is raised before any row is read if there are more
     rows than the session's fuel budget.
     """
-    recorder = _Recorder()
-    wrapped = Functional(apply=recorder.wrap(y.apply), name=f"traced {y.name}")
+    table: dict[Dialogue, int] = {}
+
+    def apply(point: Point) -> int:
+        answer = y.apply(point)
+        dialogue = point.reads()
+        prev = table.setdefault(dialogue, answer)
+        if prev != answer:
+            raise InvariantViolation(
+                f"apply answered {prev} then {answer} on equal reads {dialogue}"
+            )
+        return answer
+
+    wrapped = Functional(apply=apply, name=f"traced {y.name}")
     fresh = session.child()
     result = gamma_eval(wrapped, s, fresh)
     depth = fresh.gamma_depth(s)
@@ -670,10 +644,10 @@ def herbrand_trace(y: Functional, s: FinSeq, session: EvalSession) -> HerbrandWi
     # The search read every row up to the start's length, in order, as the
     # leaves of its prefixes, and every depth from the start's floor up
     # reads the floor entry. A row between that it skipped is forced here,
-    # through the recorder, so the replay meets every dialogue it reads.
+    # and its calls recorded, so the replay meets every dialogue it reads.
     trajectory = _trajectory(wrapped, s, fresh, rows)
     return HerbrandWitness(
-        probes={"apply": list(recorder.table.items())},
+        probes={"apply": list(table.items())},
         depth=depth,
         result=result,
         trajectory=trajectory,

@@ -181,8 +181,9 @@ def associate_from_functional(y: Functional) -> Associate:
 
 
 def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL) -> Functional:
-    """Functional evaluating gamma along its argument; its calls share one
-    trie of per-prefix answers and one Fuel(fuel_budget).
+    """Functional evaluating gamma along its argument, named after gamma;
+    its calls share one trie of per-prefix answers and one
+    Fuel(fuel_budget).
 
     Fuel is split. The functional's applies spend its one budget, one step
     per trie level walked, trie hits included, and raise FuelExhausted
@@ -197,8 +198,7 @@ def functional_from_associate(gamma: Associate, fuel_budget: int = DEFAULT_FUEL)
     fuel = Fuel(fuel_budget)
     context = f"associate_apply({gamma.name})"
     return Functional(
-        apply=lambda alpha: _scan(gamma, alpha, fuel, context, trie)[0],
-        name=f"fn({gamma.name})",
+        apply=lambda alpha: _scan(gamma, alpha, fuel, context, trie)[0], name=gamma.name
     )
 
 

@@ -73,7 +73,10 @@ class Point:
     """Total lazy stream of naturals with per-instance memoisation.
 
     The generator must be deterministic; values are cached on first read,
-    so a point is also a record of which positions have been forced. Points
+    so a point is also a record of which positions have been forced, and
+    reads gives them back with their values in first-read order: what a
+    functional applied to a fresh point read in that call (see
+    herbrand_trace). Points
     are session-confined: nothing here is safe against concurrent mutation
     from several threads, and nothing in the package needs it to be.
 
@@ -108,6 +111,11 @@ class Point:
         return v
 
     __getitem__ = value_at
+
+    def reads(self) -> tuple[tuple[int, int], ...]:
+        """The (position, value) pairs read so far, each once, in first-read
+        order."""
+        return tuple(self._cache.items())
 
     def __repr__(self) -> str:
         return f"Point({self.name})"

@@ -72,6 +72,7 @@ from oracles import (
     STABILIZE_SUM01_EMPTY,
     ZERO_AT_20_EXT_WITNESS,
     brute_dialogue_answer,
+    brute_eval_ast,
     brute_gamma,
     brute_ghs_witness,
 )
@@ -945,6 +946,30 @@ def test_trace_then_replay_certifies(tmp_path_factory, tree, start):
     back = read_trace(path)
     assert back == w
     assert replay_check(back)
+
+
+@settings(deadline=None)
+@given(
+    tree=_SHALLOW_AST,
+    start=st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(FinSeq),
+    window=st.sampled_from([1, 2, 4]),
+)
+def test_every_trace_row_is_what_y_reads(tree, start, window):
+    # The oracle evaluates the tree against a reader that answers only the
+    # row's positions: it gives the row's answer, and the positions it
+    # reads first are the row's, in the row's order.
+    w = herbrand_trace(functional_from_ast(tree), start, make_session(window=window))
+    for dialogue, answer in w.probes["apply"]:
+        values = dict(dialogue)
+        order: list[int] = []
+
+        def read(i: int) -> int:
+            if i not in order:
+                order.append(i)
+            return values[i]
+
+        assert brute_eval_ast(tree, read) == answer, dialogue
+        assert order == [position for position, _ in dialogue]
 
 
 def _reach(tree) -> int:

@@ -16,6 +16,7 @@ from gandyhyland import (
     pad,
     take,
 )
+from gandyhyland.cli.dsl import functional_from_ast, parse_spec
 from oracles import CODE_ANCHORS
 
 seqs = st.builds(FinSeq, st.lists(st.integers(min_value=0, max_value=6), max_size=6))
@@ -108,6 +109,23 @@ def test_point_caches_and_validates():
     assert calls == [4]
     with pytest.raises(IndexOutOfRange):
         p.value_at(-1)
+
+
+def test_point_reads_come_back_once_each_in_first_read_order():
+    p = Point(lambda n: n + 1, name="counter")
+    assert p.reads() == ()
+    for n in (4, 1, 4, 7, 1):
+        p.value_at(n)
+    assert p.reads() == ((4, 5), (1, 2), (7, 8))
+
+
+def test_a_views_reads_land_at_the_outer_points_positions():
+    # least(2, f(1)) reads f(1) through views shifted by 0 and then 1, so
+    # the outer point is read at 1 and then 2; it stops at the zero there.
+    y = functional_from_ast(parse_spec("least(2, f(1))"))
+    p = Point(lambda n: 0 if n == 2 else 3, name="zero at 2")
+    assert y.apply(p) == 1
+    assert p.reads() == ((1, 3), (2, 0))
 
 
 def test_point_rejects_bad_generator_output():
