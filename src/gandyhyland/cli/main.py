@@ -125,8 +125,7 @@ def write_trace(witness: HerbrandWitness, path: str) -> None:
     }
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
+            handle.write(json.dumps(payload) + "\n")
     except OSError as exc:
         raise IoError(str(exc)) from None
 

@@ -37,6 +37,7 @@ from typing import Callable
 from .errors import (
     BoundExceeded,
     FuelExhausted,
+    IndexOutOfRange,
     InvariantViolation,
     OutOfTableQuery,
     StabilizationFailed,
@@ -91,7 +92,7 @@ class EvalSession:
     there up, for every kind. d + 1 says it holds at d only, for h and g
     alike; d + 2 that it holds at d only, for its own kind. _level and
     _force raise it. _force reads it, and so does the settling search (see
-    stabilize), which zeroes it before a g read and takes what it holds
+    stabilize), which zeroes it before a read and takes what it holds
     after as that read's mark.
     """
 
@@ -166,7 +167,8 @@ def _level(
     n + 2. A miss leaves the bookkeeping to _force.
     """
     if kind == "g":
-        n = max(n, len(items))
+        if len(items) > n:
+            n = len(items)
     else:
         items = items[:n]
     memo = session._values
@@ -185,12 +187,16 @@ def _level(
 
 def h_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """Zero-padded depth-M approximation."""
+    if m < 0:
+        raise IndexOutOfRange(f"no approximation at depth {m}")
     session.claim(y)
     return _level(y, s.items, m, session, "h")
 
 
 def h_hat_eval(y: Functional, s: FinSeq, m: int, session: EvalSession) -> int:
     """One-padded depth-M approximation; pads ones in both cases."""
+    if m < 0:
+        raise IndexOutOfRange(f"no approximation at depth {m}")
     session.claim(y)
     return _level(y, s.items, m, session, "hhat")
 
@@ -201,8 +207,52 @@ def g_eval(y: Functional, s: FinSeq, n: int, session: EvalSession) -> int:
     Sequences shorter than N get the lazily-extended block with unbounded
     child indices.
     """
+    if n < 0:
+        raise IndexOutOfRange(f"no approximation at depth {n}")
     session.claim(y)
     return _level(y, s.items, n, session, "g")
+
+
+class _Block(Point):
+    """The point a block node applies Y to (see _force): items, a zero,
+    then the child at items+(j,) at position len(items)+j for j = 1 ..
+    depth (for every j in g, which does not truncate), then the kind's pad
+    value. A child is read through _level, and each read raises
+    session._floor to the block's mark. One object per block holds the
+    node; _gen is its generator and name is formatted only when asked.
+    It does not override Point.value_at, the one read path, so every read
+    is cached, checked to be a natural, and seen by reads() and by a
+    counter patched onto the class.
+    """
+
+    __slots__ = ("y", "items", "depth", "session", "kind")
+
+    def __init__(
+        self, y: Functional, items: tuple[int, ...], depth: int, session: EvalSession, kind: str
+    ):
+        self._cache = {}
+        self.y, self.items, self.depth, self.session, self.kind = y, items, depth, session, kind
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}-block {list(self.items)}@{self.depth}"
+
+    def _gen(self, i: int) -> int:
+        items = self.items
+        k = len(items)
+        if i < k:
+            return items[i]
+        if i == k:
+            return 0
+        j = i - k
+        session, depth = self.session, self.depth
+        if j > depth:
+            session._floor = depth + 2
+            if self.kind != "g":
+                return 1 if self.kind == "hhat" else 0
+        elif j > session._floor:
+            session._floor = j
+        return _level(self.y, items + (j,), depth, session, self.kind)
 
 
 def _force(
@@ -214,10 +264,8 @@ def _force(
 
     At length depth the node is a leaf, Y at items padded with the kind's
     pad value (one for hhat, else zero), applied through the padded read
-    that settled makes. Shorter items get a block: items, a zero, then the
-    child at items+(j,) at position len(items)+j for j = 1 .. depth (for
-    every j in g, which does not truncate), then the pad value. A child is
-    read through _level.
+    that settled makes. Shorter items get a block: Y is applied to one
+    _Block, the point that holds the node, so no closure is made per node.
 
     A leaf's mark (see EvalSession) is len(items) if Y read items alone,
     which the leaf and the block at items share at every depth, so the
@@ -237,31 +285,14 @@ def _force(
     """
     session.fuel.spend(session._contexts[kind])
     k = len(items)
-    pad_value = 1 if kind == "hhat" else 0
     outer = session._floor
     if k >= depth:
-        value, past = _apply_padded(y, items, pad_value)
+        value, past = _apply_padded(y, items, 1 if kind == "hhat" else 0)
         floor = depth + 1 if past else k
     else:
-        truncating = kind != "g"
-
-        def gen(i: int) -> int:
-            if i < k:
-                return items[i]
-            if i == k:
-                return 0
-            j = i - k
-            if j > depth:
-                session._floor = depth + 2
-                if truncating:
-                    return pad_value
-            elif j > session._floor:
-                session._floor = j
-            return _level(y, items + (j,), depth, session, kind)
-
         session._floor = k + 1
         try:
-            value = y.apply(Point(gen, lambda: f"{kind}-block {list(items)}@{depth}"))
+            value = y.apply(_Block(y, items, depth, session, kind))
         finally:
             floor, session._floor = session._floor, outer
     if not isinstance(value, int) or value < 0:
@@ -323,14 +354,22 @@ def _settle(
     was a free node. Given want, a run not worth want is a mismatch, so N0
     starts the first plateau holding want; StabilizationFailed names want.
 
-    read gives (h, g, mark of the g read) at a depth; at or below k =
-    len(s) the mark is the leaf's at k and d + 1 below. n is the least
-    depth not read, and last the value h and g hold from run_start to
-    n - 1. A walk down stops at n, and if it gets there and last is the
-    top's value, the run goes on below, so run_start stays; with
-    run_start = n, last is stale but unused, as the run starts at n either
-    way. A free top has every depth from its mark up read one entry, so the
-    walk starts below that mark.
+    A top p above k = len(s) reads g first, since the mark of that read
+    decides whether the search ends; h is read only if g is not free. At
+    or below k, h_at reads the prefix levels and g is the leaf, whose mark
+    is the leaf's at k and p + 1 below. n is the least depth not read, and
+    last the value h and g hold from run_start to n - 1. A walk down stops
+    at n, and if it gets there and last is the top's value, the run goes
+    on below, so run_start stays; with run_start = n, last is stale but
+    unused, as the run starts at n either way. A free top has every depth
+    from its mark up read one entry, so the walk starts below that mark.
+
+    The walk down reads h first at each depth: where h misses the top's
+    value the run breaks whatever g is, so g there is never read, nor the
+    fresh chain of g nodes it would force. Where h holds the top's value,
+    g is read unless that h read was free, as a free node makes no read
+    past its depth, so g's would be the same. So the walk stops exactly
+    where h != g or g != the top's value, and N0 is still the least start.
     """
     session._floor = 0
     leaf = g_eval(y, s, 0, session)
@@ -341,16 +380,12 @@ def _settle(
     if session.memo_enabled:
         levels = session._prefix.setdefault(items, levels)
 
-    def read(d: int) -> tuple[int, int, int]:
+    def h_at(d: int) -> int:
         if d > k:
-            session._floor = 0
-            gv = _level(y, items, d, session, "g")
-            mark = session._floor
-            # A free g node reads no pad or child past d: h reads the same.
-            return (gv if mark <= d else _level(y, items, d, session, "h")), gv, mark
+            return _level(y, items, d, session, "h")
         while len(levels) <= d:
             levels.append(_level(y, items, len(levels), session, "h"))
-        return levels[d], leaf, leaf_mark if d == k else d + 1
+        return levels[d]
 
     window, nmax = session.window, session.nmax
     run_start = n = 0
@@ -361,14 +396,27 @@ def _settle(
             return run_start, last, False
         if n <= k < p:
             p = k
-        hv, gv, mark = read(p)
+        if p > k:
+            session._floor = 0
+            gv = _level(y, items, p, session, "g")
+            mark = session._floor
+            # A free g node reads no pad or child past p: h reads the same.
+            hv = gv if mark <= p else h_at(p)
+        else:
+            hv, gv, mark = h_at(p), leaf, leaf_mark if p == k else p + 1
         if hv != gv or (want is not None and gv != want):
             run_start = n = p + 1
             continue
         d = (max(mark, n) if mark <= p else p) - 1
         while d >= n:
-            hd, gd, _ = read(d)
-            if hd != gd or gd != gv:
+            session._floor = 0
+            if h_at(d) != gv:
+                break
+            if d > k:
+                # A free h node reads no pad or child past d: g reads the same.
+                if session._floor > d and _level(y, items, d, session, "g") != gv:
+                    break
+            elif leaf != gv:
                 break
             d -= 1
         if d >= n or last != gv:

@@ -81,8 +81,14 @@ class Point:
     from several threads, and nothing in the package needs it to be.
 
     The name may be given as a zero-argument callable, called on the first
-    read of name: points built per evaluation node are named only when an
-    error message or a repr asks.
+    read of name: points built per call are named only when an error
+    message or a repr asks.
+
+    A subclass may supply _gen as a method and name as a property in place
+    of the constructor's arguments, setting only _cache itself (the
+    evaluator's block point does, one object per node). value_at stays the
+    one read path, so a subclass does not override it: the cache, reads
+    and the natural check then see every read.
     """
 
     __slots__ = ("_gen", "_cache", "_name")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -556,20 +557,30 @@ def test_deep_trace_and_replay_force_the_depths_eval_gh_skips(tmp_path, capsys):
     assert main(["replay", "--trace", path]) == 0
     assert capsys.readouterr().out == "replay: true\n"
 
-    # Evaluating spends exactly 40 steps: the settling search never reads
-    # depths 1 .. 10, where h and g disagree. Tracing and replaying record
-    # every depth of the trajectory, so each spends exactly 115.
+    # Evaluating spends exactly 28 steps: the settling search never reads
+    # depths 1 .. 10, where h and g disagree, nor g at 11, where h misses.
+    # Tracing and replaying record every depth of the trajectory, so each
+    # spends exactly 115.
     y = expr_functional("f(12)+1")
-    assert gamma_eval(y, EMPTY, make_session(40, window=14)) == 13
+    assert gamma_eval(y, EMPTY, make_session(28, window=14)) == 13
     witness = herbrand_trace(y, EMPTY, make_session(115, window=14))
     assert replay_check(witness, 115)
     for run in (
-        lambda: gamma_eval(y, EMPTY, make_session(39, window=14)),
+        lambda: gamma_eval(y, EMPTY, make_session(27, window=14)),
         lambda: herbrand_trace(y, EMPTY, make_session(114, window=14)),
         lambda: replay_check(witness, 114),
     ):
         with pytest.raises(FuelExhausted):
             run()
+
+
+def test_a_deep_trace_file_keeps_its_bytes(tmp_path):
+    # The file is one line of json.dumps output; its bytes are pinned.
+    path = tmp_path / "deep.trace"
+    assert main(["trace", "--expr", "f(12)+1", "--window", "14", "--trace", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6a76a2c1422874de98d1488648ee3f3ab241f9a30d35d1788433bf9fe598560a"
+    )
 
 
 def test_trace_refuses_a_window_past_its_fuel_before_writing(tmp_path, capsys):

@@ -18,6 +18,7 @@ from gandyhyland import (
     FuelExhausted,
     Functional,
     HerbrandWitness,
+    IndexOutOfRange,
     InvariantViolation,
     OutOfTableQuery,
     Point,
@@ -56,7 +57,7 @@ from gandyhyland.cli.fixtures import (
     functional_fixture,
 )
 from gandyhyland.cli.main import read_trace, write_trace
-from gandyhyland.evaluator import _level, _settle, _stub_operation
+from gandyhyland.evaluator import _Block, _level, _settle, _stub_operation
 from oracles import (
     CERTIFIED_H2_MODULI,
     CERTIFIED_PROJ2_EMPTY_H1,
@@ -272,7 +273,7 @@ def test_trace_replays_cleanly():
 def test_trace_path_work_counts_are_frozen(expr, start, window, work):
     # (applies of Y, trace rows, trajectory rows, depth, result): the
     # trajectory reads back the levels the settling search made and forces
-    # the ones it skipped (75 of the 115 applies of f(12)+1), each once.
+    # the ones it skipped (87 of the 115 applies of f(12)+1), each once.
     # f(0)+f(1) settles at (0, 2), so there its three applies are the
     # prefix leaves and no equation check.
     y = expr_functional(expr)
@@ -1042,16 +1043,16 @@ def _work(session: EvalSession) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "expr, start, window, value, fuel, memo",
     [
-        ("f(12)+1", (), 14, 13, 40, 40),
+        ("f(12)+1", (), 14, 13, 28, 28),
         ("f(0)+f(16)*2", (1, 0), 18, 32767, 47, 47),
         ("f(f(0))", (), 4, 0, 2, 2),
         # memo None runs without the memo. The search still ends on a free
         # node, so no equation check re-runs the search at each child, and
         # that free g read stands for h at its depth.
-        ("f(12)+1", (), 14, 13, 54, None),
+        ("f(12)+1", (), 14, 13, 42, None),
         # The mark is the read's own: one left by a lower depth's read would
         # end this search late, forcing four more nodes.
-        ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 7, None),
+        ("ifz(f(0), f(2)+1, f(0))", (), 4, 3, 5, None),
     ],
 )
 def test_gamma_eval_work_counts_are_frozen(expr, start, window, value, fuel, memo):
@@ -1124,11 +1125,11 @@ def test_levels_above_a_floor_are_free():
 @pytest.mark.parametrize(
     "expr, start, window, evaluate, reads, fuel",
     [
-        ("f(12)+1", (), 14, stabilize, 7, 40),
-        ("f(12)+1", (), 1_000_000, stabilize, 7, 40),
-        ("f(12)+1", (), 14, gamma_eval, 7, 40),
-        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 9, 47),
-        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 9, 47),
+        ("f(12)+1", (), 14, stabilize, 6, 28),
+        ("f(12)+1", (), 1_000_000, stabilize, 6, 28),
+        ("f(12)+1", (), 14, gamma_eval, 6, 28),
+        ("f(0)+f(16)*2", (1, 0), 18, stabilize, 8, 47),
+        ("f(0)+f(16)*2", (1, 0), 18, gamma_eval, 8, 47),
     ],
 )
 def test_stabilize_reads_no_level_above_a_floor(
@@ -1138,10 +1139,10 @@ def test_stabilize_reads_no_level_above_a_floor(
     # there, however wide the window, on a g read alone. It reads the top of
     # a window first, but none above the start's length before that length.
     # For f(12)+1 at () that is depth 0, then g at 0 + 14, free with floor
-    # 13, so the search walks down from 12 and stops at 11, where h and g
-    # disagree: the g chains of depths 1 .. 10, which the dense scan forced,
-    # are never read. The seven reads are the leaf and h at 0, g at 14, and
-    # h and g at 12 and 11. A block's child reads go through _level too;
+    # 13, so the search walks down from 12 and stops at 11, where h misses
+    # the top's value: the g chains of depths 1 .. 11 are never read. The
+    # six reads are the leaf and h at 0, g at 14, h and g at 12, and h at
+    # 11. A block's child reads go through _level too;
     # only outermost calls, the level reads, are counted.
     outermost = nesting = 0
 
@@ -1158,6 +1159,87 @@ def test_stabilize_reads_no_level_above_a_floor(
     session = make_session(window=window)
     evaluate(expr_functional(expr), FinSeq(start), session)
     assert (outermost, session.fuel.budget - session.fuel.remaining) == (reads, fuel)
+
+
+def test_the_walk_down_reads_no_g_where_h_misses(monkeypatch):
+    # f(12)+1 at () walks down from 12 and stops at 11, where h is 12, not
+    # the top's 13: h there decides, so g at 11 is never read.
+    reads = []
+    nesting = 0
+
+    def recording(y, items, n, session, kind):
+        nonlocal nesting
+        if nesting == 0:
+            reads.append((kind, n))
+        nesting += 1
+        try:
+            return _level(y, items, n, session, kind)
+        finally:
+            nesting -= 1
+
+    monkeypatch.setattr("gandyhyland.evaluator._level", recording)
+    assert gamma_eval(expr_functional("f(12)+1"), EMPTY, make_session(window=14)) == 13
+    assert ("h", 11) in reads
+    assert ("g", 11) not in reads
+
+
+def test_a_free_h_read_in_the_walk_down_stands_for_g():
+    # Without the memo h and g share no entry. Where the walk-down's h read
+    # is free, g makes the same reads, so it is not forced: forcing it would
+    # spend 9 steps here, and a g-first walk spends 7 too.
+    session = make_session(window=3, memo_enabled=False)
+    assert gamma_eval(expr_functional("f(f(f(1)))"), FinSeq((2,)), session) == 1
+    assert _work(session) == (7, 0)
+
+
+@pytest.mark.parametrize("approx", [h_eval, h_hat_eval, g_eval])
+def test_approximations_refuse_a_negative_depth(approx):
+    # A negative depth once sliced the last entry off and keyed memo
+    # entries at depth -1.
+    session = make_session()
+    with pytest.raises(IndexOutOfRange):
+        approx(expr_functional("f(1)+f(0)"), FinSeq((3, 4)), -1, session)
+    assert _work(session) == (0, 0)
+
+
+def test_a_patched_point_read_counts_every_block_read(monkeypatch):
+    # A block point reads through Point.value_at, so a counter patched onto
+    # the class sees every block read: f(12)+1 reads one position per apply.
+    y = expr_functional("f(12)+1")
+    blocks = reads = 0
+
+    def apply(point: Point) -> int:
+        nonlocal blocks
+        blocks += isinstance(point, _Block)
+        return y.apply(point)
+
+    value_at = Point.value_at
+
+    def counting(point: Point, n: int) -> int:
+        nonlocal reads
+        reads += isinstance(point, _Block)
+        return value_at(point, n)
+
+    monkeypatch.setattr(Point, "value_at", counting)
+    assert gamma_eval(Functional(apply=apply, name=y.name), EMPTY, make_session(window=14)) == 13
+    assert reads == blocks > 0
+
+
+def test_a_block_point_reads_like_any_point():
+    # The h block at (3,) and depth 2: items, a zero, the leaf at (3, 1)
+    # and (3, 2), then h's zero pad.
+    y = expr_functional("f(0)+1")
+    session = make_session()
+    session.claim(y)
+    block = _Block(y, (3,), 2, session, "h")
+    plain = Point(lambda i: (3, 0, 4, 4)[i] if i < 4 else 0)
+    order = [2, 0, 1, 2, 4, 3]
+    assert [block[i] for i in order] == [plain.value_at(i) for i in order] == [4, 3, 0, 4, 0, 4]
+    assert block.reads() == plain.reads() == ((2, 4), (0, 3), (1, 0), (4, 0), (3, 4))
+    assert repr(block) == "Point(h-block [3]@2)"
+    for read in (block.value_at, block.__getitem__):
+        with pytest.raises(IndexOutOfRange):
+            read(-1)
 
 
 def test_session_serves_one_functional():
