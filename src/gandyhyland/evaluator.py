@@ -498,7 +498,9 @@ def ghs_witness(
     dropped part of those values is zero, shortest first, then the length-m
     prefix extended by every tail of length 1 to tail_cap. Rows are built in
     order of m when the search first reaches them, each from the values the
-    last one read and alpha's value at m - 1.
+    last one read and alpha's value at m - 1. A row's tails are listed only
+    when its loop first reaches them, and only if its base alpha[:m] is then
+    neither skipped nor a free leaf; otherwise all are skipped (see below).
 
     StabilizationFailed if no K at or below nmax passes. K is tried
     upwards, and at each K the rows m = K .. K+window in order, stopping at
@@ -512,11 +514,13 @@ def ghs_witness(
 
     A candidate's comparisons stop at its floor: once h at depth n equals
     the stable value and the floor is at or below n, every depth above n
-    reads the same entry, so the window agrees through its top. A floor
-    of s is at least len(s), so it is looked up only from there: each
-    lookup hashes all of s. The depths that the candidate's list of prefix
-    levels holds (see EvalSession), filled by its settling search, are read
-    from that list.
+    reads the same entry, so every later window agrees through its top. A
+    candidate so compared, or skipped (below), is done for good: its next
+    depth is set past every top, to nmax + window + 1, and it leaves every
+    row that lists it, so no later K visits it. A floor of s is at least
+    len(s), so it is looked up only from there: each lookup hashes all of
+    s. The depths that the candidate's list of prefix levels holds (see
+    EvalSession), filled by its settling search, are read from that list.
 
     One rule skips work: a candidate is skipped when its parent (its items
     less the last) is a free leaf, floors[p] == len(p) (see _force), or was
@@ -530,8 +534,16 @@ def ghs_witness(
     first candidate, listed (or a free prefix of it) in row j if j >= K,
     and agreeing throughout the window if j < K, as its g is v at every
     depth. A row's later candidates extend each prefix listed before them,
-    so its listing ends at its first free prefix. With memo_enabled off
-    there are no floors, and nothing is skipped.
+    so its listing ends at its first free prefix. A skip holds for good: a
+    free leaf keeps its floor, and the skipped set only grows. A candidate
+    that left its rows at its floor does not enter the set if its parent
+    turns out free later: it then extends a free leaf, so its own leaf,
+    forced by its gamma_eval, is free too, and skips its extensions alike.
+    A base that is skipped or a free leaf skips all its tails, as the
+    parent of a tail of length one is the base and that of a longer one a
+    shorter tail. The tails still enter the skipped set, where a later row
+    reads them as parents: a tail of length one may be alpha's next prefix.
+    With memo_enabled off there are no floors, and nothing is skipped.
 
     The tails of one depth's listing hold sum t*(value_cap+1)^t entries
     over t = 1 .. tail_cap. If that exceeds the fuel left, FuelExhausted
@@ -562,6 +574,7 @@ def ghs_witness(
         for tlen in range(1, tail_cap + 1)
         for tail in product(range(value_cap + 1), repeat=tlen)
     ]
+    last = session.nmax + window
     known: dict[tuple[int, ...], list] = {}
     skipped: set[tuple[int, ...]] = set()
     rows: list[list[list]] = []
@@ -579,17 +592,35 @@ def ghs_witness(
                 row = []
                 if not capped:
                     for j in range(kept, m + 1):
-                        row.append(items := tuple(head[:j]))
+                        items = tuple(head[:j])
+                        row.append(known.setdefault(items, [items, None, 0]))
                         if floors.get(items) == j:
                             break
                     else:
-                        row += [items + tail for tail in tails]
-                rows.append([known.setdefault(t, [t, None, 0]) for t in row])
-            for state in rows[m]:
+                        # The tails, listed when the loop first reaches this entry.
+                        row.append([items, None, -1])
+                rows.append(row)
+            row = rows[m]
+            dropped = failed = False
+            for state in row:
                 items, value, n = state
+                if n < 0:
+                    state[2] = last + 1
+                    dropped = True
+                    listed = [items + tail for tail in tails]
+                    if items in skipped or floors.get(items) == m:
+                        skipped.update(listed)
+                    else:
+                        row += [known.setdefault(t, [t, None, 0]) for t in listed]
+                    continue
+                if n > last:
+                    dropped = True
+                    continue
                 parent = items[:-1]
                 if parent in skipped or floors.get(parent) == len(parent):
                     skipped.add(items)
+                    state[2] = last + 1
+                    dropped = True
                     continue
                 if value is None:
                     value = state[1] = gamma_eval(y, _from_trusted_tuple(items), session)
@@ -599,13 +630,19 @@ def ghs_witness(
                     hv = levels[n] if n < len(levels) else _level(y, items, n, session, "h")
                     if hv != value:
                         break
-                    n = top + 1 if n >= len(items) and floors.get(items, n + 1) <= n else n + 1
+                    if n >= len(items) and floors.get(items, n + 1) <= n:
+                        n = last + 1
+                        dropped = True
+                    else:
+                        n += 1
                 state[2] = n
                 if n <= top:
+                    failed = True
                     break
-            else:
-                continue
-            break
+            if dropped:
+                rows[m] = [s for s in row if s[2] <= last]
+            if failed:
+                break
         else:
             return k0
     raise StabilizationFailed(

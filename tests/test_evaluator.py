@@ -55,6 +55,7 @@ from gandyhyland.cli.fixtures import (
     expr_functional,
     flag_associate,
     functional_fixture,
+    sample_points,
 )
 from gandyhyland.cli.main import read_trace, write_trace
 from gandyhyland.evaluator import _Block, _level, _settle, _stub_operation
@@ -991,30 +992,76 @@ def _reach(tree) -> int:
 @example(
     tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"),
     period=[0],
+    second=[1],
     value_cap=1,
     tail_cap=1,
     window=4,
 )
+# With no tails, a row whose prefixes all pass reaches an empty listing.
+@example(
+    tree=parse_spec("f(1)*3*ifz(f(4), 3, f(2))"),
+    period=[0],
+    second=[0, 1],
+    value_cap=1,
+    tail_cap=0,
+    window=2,
+)
+# At zeros, h at () is 1, 2, 1, 1 from depth 0, and its floor is 3: had ()
+# left its rows once it agreed at its length, K = 0 would pass.
+@example(
+    tree=parse_spec("1+ifz(f(2), f(1), 0)"),
+    period=[0],
+    second=[0],
+    value_cap=0,
+    tail_cap=0,
+    window=1,
+)
+# At zeros, h at () is 3, 3, 3, 0, 3 from depth 0, and its floor is 4: had ()
+# left its rows after agreeing at depth 2, two below its floor, K = 0 would pass.
+@example(
+    tree=parse_spec("ifz(f(2), 3, f(4))"),
+    period=[0],
+    second=[1],
+    value_cap=0,
+    tail_cap=0,
+    window=2,
+)
+# With value_cap 0, a nonzero value of alpha leaves every later row empty.
+@example(
+    tree=parse_spec("f(0)+f(2)"),
+    period=[0],
+    second=[0, 1],
+    value_cap=0,
+    tail_cap=2,
+    window=1,
+)
 @given(
     tree=_SHALLOW_AST,
     period=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
+    second=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3),
     value_cap=st.integers(min_value=0, max_value=1),
     tail_cap=st.integers(min_value=0, max_value=2),
     window=st.sampled_from([1, 2, 4]),
 )
-def test_ghs_witness_is_the_least_uniform_depth(tree, period, value_cap, tail_cap, window):
+def test_ghs_witness_is_the_least_uniform_depth(
+    tree, period, second, value_cap, tail_cap, window
+):
     # From depth _reach on, both approximations are exact, so an nmax that
     # deep lets some K at or below it pass: neither side can fail.
     # A memo-free session reads nothing back, so it checks the level reads
     # in stabilize and ghs_witness from outside. The brute lists every
-    # capped sequence agreeing with alpha, so it checks the rows too.
+    # capped sequence agreeing with alpha, so it checks the rows too. The
+    # second point shares the session, so its rows meet the floors, levels
+    # and certified values the first left.
     reach = _reach(tree)
     y = functional_from_ast(tree)
-    alpha = Point(lambda i: period[i % len(period)], name=f"periodic {period}")
-    expected = brute_ghs_witness(y, alpha, window, reach, value_cap, tail_cap)
+    alphas = [Point(lambda i, p=p: p[i % len(p)], name=f"periodic {p}") for p in (period, second)]
+    expected = [brute_ghs_witness(y, a, window, reach, value_cap, tail_cap) for a in alphas]
     for memo_enabled in (True, False):
         session = make_session(window=window, nmax=reach, memo_enabled=memo_enabled)
-        got = ghs_witness(y, alpha, session, value_cap=value_cap, tail_cap=tail_cap)
+        got = [
+            ghs_witness(y, a, session, value_cap=value_cap, tail_cap=tail_cap) for a in alphas
+        ]
         assert got == expected, memo_enabled
 
 
@@ -1089,6 +1136,25 @@ def test_uniform_depth_work_counts_are_frozen(name, m0, point, work):
     session = make_session(fuel_steps=2_000_000, window=6)
     ghs_witness(functional_fixture(name, m0=m0), constant_point(point), session)
     assert _work(session) == work
+
+
+@pytest.mark.parametrize(
+    "name, m0, ks, work",
+    [
+        ("flag-gamma", 5, [6] * 10, (1942, 1942, 295)),
+        ("flag-epsilon", 4, [5] * 10, (283, 283, 44)),
+        ("nest", 3, [1, 2, 3, 1, 2, 1, 1, 2, 3, 1], (32, 32, 16)),
+    ],
+)
+def test_uniform_depth_work_counts_over_a_shared_session_are_frozen(name, m0, ks, work):
+    # One session serves the ten sample points in turn, as in cross-coherence
+    # and the modulus-routes benchmark: each later point meets the memo, the
+    # floors, the prefix levels and the certified values the earlier ones
+    # left. The last count is the number of certified values.
+    session = make_session(fuel_steps=2_000_000, window=6)
+    y = functional_fixture(name, m0=m0, fuel_budget=100_000)
+    assert [ghs_witness(y, f, session) for f in sample_points()] == ks
+    assert _work(session) + (len(session._gamma),) == work
 
 
 def test_leaves_are_keyed_by_the_point_they_evaluate():
